@@ -8,7 +8,7 @@ Four subcommands cover the library's workflows::
     python -m repro synth --workload wl2 --jobs 300 --out wl2.json
     python -m repro figures --jobs 200 --only fig7,fig11
     python -m repro sweep --grid all --jobs 4 --cache-dir .sweep-cache
-    python -m repro sweep --grid all --serve :7341 --queue-path queue.json
+    python -m repro sweep --grid all --serve :7341 --jobstore jobs.jsonl
     python -m repro sweep --worker HOST:7341
     python -m repro serve --port 8750 --cache-dir .sweep-cache
     python -m repro replay verify trace.jsonl
@@ -29,16 +29,17 @@ Scarlett baseline for comparisons.
 ``sweep`` runs a named grid of experiment cells (figures, sensitivity
 sweeps, ablations) across worker processes, reusing previously computed
 cells from a content-addressed result cache; ``--shard K/M`` splits a
-grid across CI jobs.  ``--serve``/``--worker`` promote the same grid to
-a coordinator + remote-worker service with lease-based fault tolerance
-(crashed workers lose their leases, failed cells retry with backoff,
-stragglers are speculatively re-executed) whose results are
-byte-identical to the serial path.
+grid across CI jobs.  ``--serve`` runs the same grid as one job on a
+``serve`` HTTP server whose cells ``--worker`` processes lease remotely,
+with lease-based fault tolerance (crashed workers lose their leases,
+failed cells retry with backoff, stragglers are speculatively
+re-executed) and results byte-identical to the serial path.
 
 ``serve`` runs the long-lived HTTP front door (REST + SSE) over the same
 sweep machinery: clients POST grids to ``/api/jobs``, stream progress
 and trace records from ``/api/jobs/{id}/events``, and fetch result
-documents byte-identical to the serial path (see ``docs/SERVER.md``).
+documents byte-identical to the serial path; remote workers lease cells
+through ``/api/queue/*`` (see ``docs/SERVER.md``).
 
 ``replay`` consumes the JSONL traces ``run --trace`` writes: ``summary``
 prints record counts and reconstructed headline stats, ``verify`` rebuilds
@@ -713,12 +714,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
         address = _parse_address_or_exit(args.status)
         try:
-            reply = svc.request(address, {"op": "status"})
+            status = svc.queue_status(address)
         except (OSError, svc.ServiceError) as exc:
             raise SystemExit(
-                f"cannot reach coordinator at {address[0]}:{address[1]}: {exc}"
+                f"cannot reach server at {address[0]}:{address[1]}: {exc}"
             )
-        status = reply.get("status", reply)
         if args.json:
             print(json.dumps(status, indent=2, sort_keys=True))
         else:
@@ -759,34 +759,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         ]
     cache = None if args.no_cache else S.ResultCache(args.cache_dir)
     if args.serve:
-        from repro.experiments import service as svc
-
-        host, port = _parse_address_or_exit(args.serve)
-        coordinator = svc.Coordinator(
-            cells,
-            host=host,
-            port=port,
-            queue_path=args.queue_path,
-            cache=cache,
-            lease_s=args.lease,
-            max_attempts=args.max_attempts,
-            steal_after_s=args.steal_after or None,
-        )
-        coordinator.start()
-        bound_host, bound_port = coordinator.address
-        verb = "resumed" if coordinator.resumed else "serving"
-        print(f"coordinator listening on {bound_host}:{bound_port} "
-              f"({verb} {len(cells)} cells; lease {args.lease:g}s)", flush=True)
-        try:
-            coordinator.wait()
-        finally:
-            coordinator.close()
-        outcomes = coordinator.outcomes()
-        status = coordinator.status()
-        print(f"service: {status['leases_granted']} leases, "
-              f"{status['expirations']} expired, {status['steals']} stolen, "
-              f"{status['duplicates']} duplicate completions, "
-              f"{status['quarantined']} quarantined")
+        outcomes = _serve_grid(args, cells, cache)
     else:
         outcomes = S.run_cells(
             cells,
@@ -816,6 +789,52 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             print(f"FAILED {o.cell.label()}:", file=sys.stderr)
             print("  " + o.error.strip().replace("\n", "\n  "), file=sys.stderr)
     return 1 if n_failed else 0
+
+
+def _serve_grid(args: argparse.Namespace, cells, cache):
+    """``sweep --serve``: the grid as one job on a worker-less server;
+    returns its outcomes once remote ``--worker`` s have finished it."""
+    import asyncio
+
+    from repro.experiments.jobs import JobManager, JobRejected
+    from repro.experiments.service import cell_to_doc
+    from repro.server.app import Server, run_server
+    from repro.server.jobstore import JobJournal, restore
+
+    host, port = _parse_address_or_exit(args.serve)
+    manager = JobManager(
+        cache=cache,
+        workers=0,
+        max_cells_per_job=len(cells),
+        lease_s=args.lease,
+        max_attempts=args.max_attempts,
+        steal_after_s=args.steal_after or None,
+        journal=JobJournal(args.jobstore) if args.jobstore else None,
+    )
+    if args.jobstore:
+        restore(manager, args.jobstore)
+    try:
+        job, _ = manager.submit({"cells": [cell_to_doc(c) for c in cells]})
+    except JobRejected as exc:
+        raise SystemExit(exc.message)
+    progress = manager.job_status_doc(job)["progress"]
+    print(f"sweep: {len(cells)} cells, {progress['done']} already done; "
+          f"lease {args.lease:g}s", flush=True)
+
+    def finished() -> bool:
+        manager.expire()  # reclaim dead workers' leases even with none polling
+        return not job.active
+
+    asyncio.run(run_server(Server(manager, host=host, port=port), until=finished))
+    if job.active:
+        raise SystemExit("server stopped before the grid finished; rerun with "
+                         "the same --jobstore to resume")
+    status = manager.queue.status_doc()
+    print(f"service: {status['leases_granted']} leases, "
+          f"{status['expirations']} expired, {status['steals']} stolen, "
+          f"{status['duplicates']} duplicate completions, "
+          f"{status['quarantined']} quarantined")
+    return manager.job_outcomes(job)
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
@@ -1179,25 +1198,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="", metavar="PATH",
                    help="write all outcomes as a JSON document to PATH")
     service = p.add_argument_group(
-        "distributed service",
-        "run the grid as a coordinator + remote workers sharing one "
-        "result cache (see docs/SWEEP_SERVICE.md)",
+        "remote workers",
+        "run the grid as one job on a `serve` HTTP server whose cells "
+        "remote --worker processes lease, sharing one result cache (see "
+        "docs/SERVER.md)",
     )
     service.add_argument("--serve", default="", metavar="HOST:PORT",
-                         help="serve this grid as a coordinator (port 0 = "
+                         help="serve this grid to remote workers (port 0 = "
                               "pick a free port) and exit when it is done")
     service.add_argument("--worker", default="", metavar="HOST:PORT",
-                         help="run as a worker pulling cells from a "
-                              "coordinator until its grid is done")
+                         help="run as a worker leasing cells from a server "
+                              "until its queue is done")
     service.add_argument("--status", default="", metavar="HOST:PORT",
-                         help="print a coordinator's queue status and exit")
+                         help="print a server's queue status and exit")
     service.add_argument("--json", action="store_true",
                          help="with --status: print the raw status document "
-                              "(the same serializer the server's "
-                              "/api/cluster uses) instead of the table")
-    service.add_argument("--queue-path", default="", metavar="PATH",
-                         help="persist the coordinator's work queue to PATH "
-                              "(an existing journal resumes the grid)")
+                              "(the `queue` part of the server's "
+                              "/api/cluster) instead of the table")
+    service.add_argument("--jobstore", default="", metavar="PATH",
+                         help="with --serve: journal the grid's job to PATH; "
+                              "an existing journal resumes it, re-running "
+                              "only cells missing from the result cache")
     service.add_argument("--lease", type=float, default=60.0, metavar="SECONDS",
                          help="lease duration; an unrenewed lease this old "
                               "is reclaimed (default 60)")
@@ -1280,7 +1301,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point."""
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if getattr(args, "jobstore", "") and args.no_cache:
+        # a restored finished job rebuilds its results from the cache
+        parser.error("--jobstore needs the result cache to restore finished "
+                     "jobs; drop --no-cache (or --jobstore)")
     return args.func(args)
 
 

@@ -5,8 +5,9 @@ This is the bridge between the async HTTP front door
 :mod:`repro.experiments.sweep` and :mod:`repro.experiments.service`.
 The server thread hands :class:`JobManager` parsed submissions; the
 manager turns each into a :class:`Job` — a list of content-addressed
-:class:`~repro.experiments.sweep.SweepCell` s — and enqueues the cells
-onto a single shared :class:`~repro.experiments.service.WorkQueue`:
+:class:`~repro.experiments.sweep.SweepCell` s, the tasks of the job —
+and enqueues the cells onto a single shared
+:class:`~repro.experiments.service.WorkQueue`:
 
 * **Cells deduplicate across jobs.**  Two clients submitting overlapping
   grids share the overlapping cells' single execution (the queue is
@@ -20,12 +21,19 @@ onto a single shared :class:`~repro.experiments.service.WorkQueue`:
   cells' cache keys (or an explicit client ``idempotency_key``);
   re-submitting an in-flight or finished grid returns the existing job
   instead of queueing a duplicate.
-* **Executor threads** lease cells from the queue and run each one
-  through :func:`~repro.experiments.sweep.run_cells` — in a worker
-  *process* by default (``isolation='process'``: crash retry and
-  ``cell_timeout_s`` apply), or in-thread (``isolation='thread'``, used
-  by tests and by trace-streaming jobs, whose tracer records fan out to
-  the job's :class:`~repro.observability.stream.RecordStream`).
+* **One lease protocol, two kinds of executor.**  :meth:`JobManager.lease`,
+  :meth:`~JobManager.renew`, :meth:`~JobManager.complete` and
+  :meth:`~JobManager.fail` are the only way a cell moves through the
+  queue.  The manager's own executor threads call them in-process and
+  run each cell through :func:`~repro.experiments.sweep.run_cells` — in
+  a worker *process* by default (``isolation='process'``: crash retry
+  and ``cell_timeout_s`` apply), or in-thread (``isolation='thread'``,
+  used by tests and by trace-streaming jobs, whose tracer records fan
+  out to the job's :class:`~repro.observability.stream.RecordStream`).
+  Remote workers (:func:`~repro.experiments.service.run_worker`) call
+  the same methods through the server's ``POST /api/queue/*`` routes,
+  so validating a result, storing it in the cache, publishing its
+  ``cell`` event and settling jobs happen in one place for both.
 * **Bounded backlog.**  At most ``max_queued_jobs`` jobs may be active;
   beyond that submissions are rejected with a 503-shaped
   :class:`JobRejected` so the API edge can push back instead of queueing
@@ -50,7 +58,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
-from repro.experiments.serialize import canonical_json, result_to_dict
+from repro.experiments.runner import ExperimentResult
+from repro.experiments.serialize import canonical_json, result_from_dict, result_to_dict
 from repro.experiments.service import (
     DONE,
     PENDING,
@@ -63,8 +72,11 @@ from repro.experiments.sweep import (
     CellOutcome,
     ResultCache,
     SweepCell,
+    WorkloadSpec,
     build_grid,
     cache_key,
+    last_line,
+    outcomes_to_doc,
     run_cells,
 )
 from repro.observability.stream import RecordStream
@@ -209,6 +221,7 @@ class JobManager:
         cell_timeout_s: Optional[float] = None,
         lease_s: float = 3600.0,
         max_attempts: int = 2,
+        steal_after_s: Optional[float] = None,
         stream_capacity: int = 4096,
         journal: Optional[object] = None,
         clock: Callable[[], float] = time.time,
@@ -227,14 +240,12 @@ class JobManager:
         self.journal = journal  # anything with .append(doc); see server.jobstore
         self._clock = clock
         self._lock = threading.RLock()
-        # steal-free queue: in-process executors cannot crash independently
-        # of the manager, so speculative duplicates would only waste CPU
         self.queue = WorkQueue(
             lease_s=lease_s,
             max_attempts=max_attempts,
             backoff_s=0.2,
             backoff_cap_s=5.0,
-            max_leases=1,
+            steal_after_s=steal_after_s,
             clock=clock,
         )
         self.jobs: Dict[str, Job] = {}
@@ -265,9 +276,10 @@ class JobManager:
         return self
 
     def drain(self) -> None:
-        """Refuse new submissions; in-flight cells still land."""
+        """Refuse new submissions and leases; in-flight cells still land."""
         with self._lock:
             self.draining = True
+            self.queue.drain()
 
     def stop(self, timeout: Optional[float] = 30.0) -> None:
         """Drain, stop the executors, and wait for in-flight cells."""
@@ -344,7 +356,7 @@ class JobManager:
         """
         with self._lock:
             job.stream = RecordStream(self.stream_capacity)
-            self._seq = max(self._seq, int(job.id[1:5]))
+            self._seq = max(self._seq, int(job.id[1:].partition("-")[0]))
             self._register(job)
             if state in (JOB_DONE, JOB_FAILED):
                 job.state = state
@@ -390,20 +402,117 @@ class JobManager:
         self._enqueue(job)
         self._wake.set()
 
+    # -- the lease protocol ------------------------------------------------------
+
+    def lease(self, worker: str) -> Dict:
+        """Grant ``worker`` one cell (the ``POST /api/queue/lease`` reply).
+
+        Expired leases are reclaimed first, so a dead remote worker's
+        cell returns to the queue (and a job whose last cell that
+        quarantined settles) even while nobody else completes anything.
+        """
+        with self._lock:
+            self.expire()
+            reply = self.queue.lease(worker)
+            if "key" in reply:
+                key = reply["key"]
+                for job in self.jobs.values():
+                    if job.active and key in job.key_set:
+                        job.stream.publish("cell", {
+                            "phase": "started", "key": key,
+                            "tag": reply["cell"]["tag"], "worker": worker,
+                        })
+        return reply
+
+    def renew(self, key: str, lease_id: str) -> Dict:
+        """Extend a live lease; ``ok`` is false once it was lost."""
+        with self._lock:
+            return {"ok": self.queue.renew(key, lease_id)}
+
+    def complete(
+        self,
+        key: str,
+        lease_id: str,
+        result: ExperimentResult,
+        worker: str = "",
+        cached: bool = False,
+        duration_s: float = 0.0,
+    ) -> Dict:
+        """Record a finished cell: first completion wins.
+
+        A result whose config does not hash to the leased cell's key is
+        refused (``ok: false``) and nothing is stored; otherwise it goes
+        into the result cache before the queue marks the cell done.
+        """
+        with self._lock:
+            entry = self.queue.entries.get(key)
+        if entry is None:
+            return {"ok": False, "error": f"unknown cell key {key!r}"}
+        got = cache_key(result.config, WorkloadSpec(*entry.cell["workload"]))
+        if got != key:
+            return {"ok": False,
+                    "error": f"result is for cell {got[:12]}, not {key[:12]}"}
+        doc = result_to_dict(result)
+        if self.cache is not None:
+            self.cache.store(key, doc)
+        with self._lock:
+            reply = self.queue.complete(key, lease_id, doc, worker=worker,
+                                        cached=cached)
+            if reply.get("accepted"):
+                self._cell_finished(key, True, cached, duration_s, "")
+        return reply
+
+    def fail(
+        self,
+        key: str,
+        lease_id: str,
+        error: str,
+        requeue: bool = False,
+        duration_s: float = 0.0,
+    ) -> Dict:
+        """Record a failed attempt, or a voluntary release (``requeue``)."""
+        with self._lock:
+            reply = self.queue.fail(key, lease_id, error, requeue=requeue)
+            if reply.get("accepted"):
+                self._cell_finished(key, False, False, duration_s, error)
+        return reply
+
+    def expire(self) -> int:
+        """Reclaim expired leases; settle jobs a quarantine finished."""
+        with self._lock:
+            expired = self.queue.expire()
+            if expired:
+                for job in list(self.jobs.values()):
+                    if job.active:
+                        self._refresh_job(job)
+            return expired
+
+    def _cell_finished(
+        self, key: str, ok: bool, from_cache: bool, duration_s: float, error: str
+    ) -> None:
+        entry = self.queue.entries[key]
+        for job in list(self.jobs.values()):
+            if not job.active or key not in job.key_set:
+                continue
+            job.stream.publish("cell", {
+                "phase": "finished", "key": key, "tag": entry.cell["tag"],
+                "ok": ok, "state": entry.state, "from_cache": from_cache,
+                "duration_s": round(duration_s, 6), "error": last_line(error),
+            })
+            self._refresh_job(job)
+
     # -- execution -------------------------------------------------------------
 
     def _executor_loop(self, name: str) -> None:
         while not self._stop.is_set():
-            with self._lock:
-                reply = self.queue.lease(name)
-            if reply.get("done") or reply.get("wait"):
+            reply = self.lease(name)
+            if "key" not in reply:
                 # idle: wait for a submission (or backoff expiry) to wake us
                 retry = min(0.2, float(reply.get("retry_s", 0.2)) or 0.2)
                 self._wake.wait(retry)
                 self._wake.clear()
                 continue
             key = reply["key"]
-            lease_id = reply["lease_id"]
             cell = cell_from_doc(reply["cell"])
             with self._lock:
                 streams = [
@@ -411,38 +520,17 @@ class JobManager:
                     for job in self.jobs.values()
                     if job.active and key in job.key_set and job.spec.get("stream")
                 ]
-                for job in self.jobs.values():
-                    if job.active and key in job.key_set:
-                        job.stream.publish("cell", {
-                            "phase": "started", "key": key,
-                            "tag": cell.tag, "worker": name,
-                        })
                 self._current[name] = {"key": key, "tag": cell.tag}
             try:
                 outcome = self._execute(cell, key, streams)
             finally:
                 self._current[name] = None
-            with self._lock:
-                if outcome.ok:
-                    self.queue.complete(
-                        key, lease_id, result_to_dict(outcome.result),
-                        worker=name, cached=outcome.from_cache,
-                    )
-                else:
-                    self.queue.fail(key, lease_id, outcome.error)
-                entry = self.queue.entries.get(key)
-                cell_state = entry.state if entry is not None else "unknown"
-                for job in list(self.jobs.values()):
-                    if not job.active or key not in job.key_set:
-                        continue
-                    job.stream.publish("cell", {
-                        "phase": "finished", "key": key, "tag": cell.tag,
-                        "ok": outcome.ok, "state": cell_state,
-                        "from_cache": outcome.from_cache,
-                        "duration_s": round(outcome.duration_s, 6),
-                        "error": _last_line(outcome.error),
-                    })
-                    self._refresh_job(job)
+            if outcome.ok:
+                self.complete(key, reply["lease_id"], outcome.result, worker=name,
+                              duration_s=outcome.duration_s)
+            else:
+                self.fail(key, reply["lease_id"], outcome.error,
+                          duration_s=outcome.duration_s)
 
     def _execute(self, cell: SweepCell, key: str, streams: List[RecordStream]):
         """Run one cell; trace-streaming cells run in-process with a tracer."""
@@ -451,9 +539,8 @@ class JobManager:
             return self._execute_streaming(cell, key, streams)
         jobs = 1 if self.isolation == "thread" else 2
         timeout = self.cell_timeout_s if jobs > 1 else None
-        [outcome] = run_cells(
-            [cell], jobs=jobs, cache=self.cache, timeout_s=timeout
-        )
+        # no cache here: complete() is the one place results are stored
+        [outcome] = run_cells([cell], jobs=jobs, timeout_s=timeout)
         return outcome
 
     def _execute_streaming(
@@ -480,8 +567,6 @@ class JobManager:
                 cell, None, error=traceback.format_exc(), key=key,
                 duration_s=time.perf_counter() - started,
             )
-        if self.cache is not None:
-            self.cache.store(key, result_to_dict(result))
         return CellOutcome(
             cell, result, key=key, duration_s=time.perf_counter() - started,
         )
@@ -521,7 +606,7 @@ class JobManager:
                 entry = self.queue.entries.get(key)
                 if entry is not None and entry.state == QUARANTINED:
                     lines.append(f"{entry.cell['tag'] or key[:12]}: "
-                                 f"{_last_line(entry.error)}")
+                                 f"{last_line(entry.error)}")
             job.error = "; ".join(lines)
         else:
             job.state = JOB_DONE
@@ -554,7 +639,7 @@ class JobManager:
                     "tag": cell.tag, "x": cell.x, "key": key,
                     "state": entry.state, "from_cache": entry.from_cache,
                     "attempts": entry.attempts,
-                    "error": _last_line(entry.error),
+                    "error": last_line(entry.error),
                 })
             return {
                 "id": job.id,
@@ -568,40 +653,40 @@ class JobManager:
                 "cells": cells,
             }
 
+    def job_outcomes(self, job: Job) -> List[CellOutcome]:
+        """One :class:`CellOutcome` per job cell, in job order.
+
+        Cells the queue no longer holds (a job restored from the journal
+        as finished) are read back from the result cache.
+        """
+        with self._lock:
+            outcomes = []
+            for cell, key in zip(job.cells, job.keys):
+                entry = self.queue.entries.get(key)
+                if entry is None or (entry.result is None and not entry.error):
+                    hit = None if self.cache is None else self.cache.load(key)
+                    outcomes.append(CellOutcome(cell, hit, from_cache=True, key=key))
+                    continue
+                result = None if entry.result is None else result_from_dict(entry.result)
+                outcomes.append(CellOutcome(
+                    cell, result, error=entry.error,
+                    from_cache=entry.from_cache, key=key,
+                ))
+            return outcomes
+
     def job_result_doc(self, job: Job) -> Optional[Dict]:
         """The finished job's outcome document (``--out`` shape, no
         provenance) — byte-identical to the serial ``run_cells`` path for
         the same cells.  None while the job is still running."""
         if job.active:
             return None
-        with self._lock:
-            cell_docs = []
-            for cell, key in zip(job.cells, job.keys):
-                result_doc = None
-                error = ""
-                entry = self.queue.entries.get(key)
-                if entry is not None:
-                    result_doc = entry.result
-                    error = entry.error
-                if result_doc is None and self.cache is not None and not error:
-                    hit = self.cache.load(key)
-                    if hit is not None:
-                        result_doc = result_to_dict(hit)
-                cell_docs.append({
-                    "tag": cell.tag,
-                    "x": cell.x,
-                    "key": key,
-                    "ok": result_doc is not None,
-                    "error": error,
-                    "result": result_doc,
-                })
-            return {
-                "grid": job.spec.get("grid", ""),
-                "n_jobs": job.spec.get("n_jobs", 0),
-                "seed": job.spec.get("seed", 0),
-                "shard": "",
-                "cells": cell_docs,
-            }
+        return outcomes_to_doc(
+            self.job_outcomes(job),
+            grid=job.spec.get("grid", ""),
+            n_jobs=job.spec.get("n_jobs", 0),
+            seed=job.spec.get("seed", 0),
+            provenance=False,
+        )
 
     def cluster_doc(self) -> Dict:
         """The ``GET /api/cluster`` body: queue/worker/job/cache state."""
@@ -647,7 +732,3 @@ class JobManager:
                 for job in (self.jobs[jid] for jid in self.order)
             ]
 
-
-def _last_line(text: str) -> str:
-    lines = text.strip().splitlines()
-    return lines[-1] if lines else ""

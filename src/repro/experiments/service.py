@@ -1,61 +1,56 @@
-"""Distributed sweep service: a coordinator + remote workers over TCP.
+"""Remote sweep workers and the lease state machine they share.
 
 :mod:`repro.experiments.sweep` fans a grid out over *local* worker
-processes.  This module promotes that executor to a small distributed
-service so one grid can scale across machines while sharing one
-content-addressed :class:`~repro.experiments.sweep.ResultCache`:
+processes.  ``repro serve`` (:mod:`repro.server`) runs grids for many
+clients over one :class:`~repro.experiments.jobs.JobManager`; this module
+holds the two pieces that let machines other than the server's run the
+cells, while sharing its content-addressed
+:class:`~repro.experiments.sweep.ResultCache`:
 
-* :class:`WorkQueue` — the coordinator's durable state machine.  Every
-  cell is tracked by its :func:`~repro.experiments.sweep.cache_key`
-  through ``pending -> leased -> done | quarantined``: leases are
-  time-bounded and reclaimed when they expire (a crashed or hung worker
-  just loses its lease), failures retry with exponential backoff until a
-  poison cell is quarantined after ``max_attempts``, and near the end of
-  a grid idle workers *steal* a speculative second lease on the
-  longest-running straggler (Wang/Joshi/Wornell-style task replication —
-  whichever attempt finishes first wins).  Completions are idempotent:
-  the first completion of a cell is canonical, and duplicate or late
-  completions (lease expiry followed by a slow worker reporting anyway)
-  are acknowledged but discarded deterministically.  The whole queue
-  serializes to JSON, so a restarted coordinator resumes a half-done
-  grid instead of recomputing it.
-* :class:`Coordinator` — a :mod:`socketserver` TCP server speaking a
-  JSON-lines protocol (one request line, one response line per
-  connection) that guards a :class:`WorkQueue` with a lock, pre-resolves
-  cache hits, stores completed results into its cache, and supports
-  graceful draining (stop granting leases, wait for in-flight cells).
-* :func:`run_worker` — the worker loop: lease a cell, execute it through
-  the existing :func:`~repro.experiments.sweep.run_cells` machinery
-  (jobs=1, with the worker's own cache), renew the lease from a
-  background thread while the cell runs, and report the serialized
-  result (or the failure traceback) back.  ``chaos`` specs inject
-  deterministic faults — SIGKILL or a hang right after a lease, or a
-  delayed completion — for the fault-injection tests and the CI smoke.
+* :class:`WorkQueue` — the manager's state machine.  Every cell is
+  tracked by its :func:`~repro.experiments.sweep.cache_key` through
+  ``pending -> leased -> done | quarantined``: leases are time-bounded
+  and reclaimed when they expire (a crashed or hung worker just loses
+  its lease), failures retry with exponential backoff until a poison
+  cell is quarantined after ``max_attempts``, and near the end of a grid
+  idle workers *steal* a speculative second lease on the longest-running
+  straggler (Wang/Joshi/Wornell-style task replication — whichever
+  attempt finishes first wins).  Completions are idempotent: the first
+  completion of a cell is canonical, and duplicate or late completions
+  (lease expiry followed by a slow worker reporting anyway) are
+  acknowledged but discarded deterministically.
+* :func:`run_worker` — the remote worker loop: lease a cell over the
+  server's ``POST /api/queue/*`` routes, execute it through the existing
+  :func:`~repro.experiments.sweep.run_cells` machinery (jobs=1, with the
+  worker's own cache), renew the lease from a background thread while
+  the cell runs, and report the serialized result (or the failure
+  traceback) back.  ``chaos`` specs inject deterministic faults — SIGKILL
+  or a hang right after a lease, or a delayed completion — for the
+  fault-injection tests and the CI smoke.
 
-Because every cell is deterministic and content-addressed, the service
-path is *byte-identical* to the serial ``run_cells`` path no matter how
-many workers run, die, or race (``tests/test_sweep_service.py`` and the
-CI ``sweep-service`` job assert exactly that).
+Because every cell is deterministic and content-addressed, a grid run by
+remote workers is *byte-identical* to the serial ``run_cells`` path no
+matter how many workers run, die, or race (``tests/test_sweep_service.py``
+and the CI ``sweep-service`` job assert exactly that).
 
-``python -m repro sweep --serve/--worker/--status`` exposes all of this
-on the command line; see ``docs/SWEEP_SERVICE.md`` for the protocol and
-the failure matrix.
+``python -m repro sweep --serve/--worker/--status`` exposes this on the
+command line; ``docs/SERVER.md`` documents the lease routes and the
+failure matrix.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
 import os
 import signal
 import socket
-import socketserver
 import threading
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple, Union
 
 from repro.experiments.serialize import (
-    canonical_json,
     config_from_dict,
     config_to_dict,
     result_from_dict,
@@ -67,10 +62,11 @@ from repro.experiments.sweep import (
     SweepCell,
     WorkloadSpec,
     cache_key,
+    last_line,
     run_cells,
 )
 
-#: queue journal / wire format version
+#: status document format version
 QUEUE_FORMAT = 1
 
 #: cell states
@@ -83,7 +79,7 @@ _STATES = (PENDING, LEASED, DONE, QUARANTINED)
 
 
 class ServiceError(RuntimeError):
-    """A worker or client could not talk to the coordinator."""
+    """A worker or client could not talk to the server."""
 
 
 class WorkerShutdown(Exception):
@@ -117,17 +113,43 @@ def parse_address(spec: str) -> Tuple[str, int]:
     return host, port
 
 
-def request(address: Tuple[str, int], doc: Dict, timeout: float = 30.0) -> Dict:
-    """One protocol round-trip: connect, send one line, read one line."""
-    with socket.create_connection(address, timeout=timeout) as sock:
-        sock.settimeout(timeout)
-        fh = sock.makefile("rwb")
-        fh.write(json.dumps(doc).encode() + b"\n")
-        fh.flush()
-        line = fh.readline()
-    if not line:
-        raise ServiceError("coordinator closed the connection without replying")
-    return json.loads(line)
+def _http(
+    address: Tuple[str, int], method: str, path: str, client: str,
+    doc: Optional[Dict] = None, timeout: float = 30.0,
+) -> Dict:
+    """One JSON round-trip to the server; waits out 429 backpressure.
+
+    A 400 reply is returned (its ``error`` says what was refused); any
+    other non-200 status, or a reply that is not a JSON object, raises
+    :class:`ServiceError`.
+    """
+    body = None if doc is None else json.dumps(doc)
+    headers = {"X-Client-Id": client, "Content-Type": "application/json"}
+    while True:
+        conn = http.client.HTTPConnection(address[0], address[1], timeout=timeout)
+        try:
+            conn.request(method, path, body=body, headers=headers)
+            resp = conn.getresponse()
+            data = resp.read()
+        except http.client.HTTPException as exc:
+            raise ServiceError(f"bad reply from {address[0]}:{address[1]}: {exc!r}")
+        finally:
+            conn.close()
+        if resp.status != 429:
+            break
+        time.sleep(float(resp.getheader("Retry-After") or 1.0))
+    try:
+        reply = json.loads(data)
+    except ValueError:
+        reply = None
+    if not isinstance(reply, dict) or resp.status not in (200, 400):
+        raise ServiceError(f"{method} {path} answered {resp.status}: {data[:200]!r}")
+    return reply
+
+
+def queue_status(address: Tuple[str, int], timeout: float = 30.0) -> Dict:
+    """The server's queue status document (``GET /api/cluster`` ``queue``)."""
+    return _http(address, "GET", "/api/cluster", "status", timeout=timeout)["queue"]
 
 
 def cell_to_doc(cell: SweepCell) -> Dict:
@@ -150,7 +172,7 @@ def cell_from_doc(doc: Dict) -> SweepCell:
     )
 
 
-# -- the durable work queue ---------------------------------------------------
+# -- the work queue -----------------------------------------------------------
 
 
 @dataclass
@@ -158,7 +180,7 @@ class QueueEntry:
     """One cell's lifecycle record inside the :class:`WorkQueue`."""
 
     key: str
-    cell: Dict  # cell_to_doc form (journal-safe)
+    cell: Dict  # cell_to_doc form (wire-safe)
     state: str = PENDING
     attempts: int = 0
     #: earliest wall-clock time the cell may be leased again (backoff)
@@ -166,44 +188,22 @@ class QueueEntry:
     #: active leases: lease_id -> {"worker", "granted", "deadline"}
     leases: Dict[str, Dict] = field(default_factory=dict)
     error: str = ""
-    #: one line per failed attempt, for the journal/status
+    #: one line per failed attempt, for the status and error reports
     history: List[str] = field(default_factory=list)
     result: Optional[Dict] = None
     from_cache: bool = False
     duplicates: int = 0
     completed_by: str = ""
 
-    def to_doc(self) -> Dict:
-        return {
-            "key": self.key,
-            "cell": self.cell,
-            "state": self.state,
-            "attempts": self.attempts,
-            "not_before": self.not_before,
-            "leases": self.leases,
-            "error": self.error,
-            "history": self.history,
-            "result": self.result,
-            "from_cache": self.from_cache,
-            "duplicates": self.duplicates,
-            "completed_by": self.completed_by,
-        }
-
-    @classmethod
-    def from_doc(cls, doc: Dict) -> "QueueEntry":
-        return cls(**doc)
-
 
 class WorkQueue:
     """Lease-based work queue over content-addressed sweep cells.
 
-    Single-threaded by design (the :class:`Coordinator` serializes access
-    with a lock); ``clock`` is injectable so tests and the hypothesis
-    state machine can drive logical time.  When ``path`` is set, every
-    transition atomically rewrites the JSON journal, and
-    :meth:`WorkQueue.load` rebuilds the queue — leases held by the dead
-    coordinator's workers are reclaimed to ``pending`` on load (without
-    charging an attempt: the restart was not the cell's fault).
+    Single-threaded by design (:class:`~repro.experiments.jobs.JobManager`
+    serializes access with a lock); ``clock`` is injectable so tests and
+    the hypothesis state machine can drive logical time.  The queue lives
+    in memory only: restart durability is the server's job journal plus
+    the result cache, which re-resolves every finished cell on re-submit.
 
     Transitions:
 
@@ -233,7 +233,6 @@ class WorkQueue:
         steal_after_s: Optional[float] = None,
         max_leases: int = 2,
         clock: Callable[[], float] = time.time,
-        path: Union[str, os.PathLike, None] = None,
     ) -> None:
         self.lease_s = lease_s
         self.max_attempts = max_attempts
@@ -242,12 +241,11 @@ class WorkQueue:
         self.steal_after_s = lease_s / 2.0 if steal_after_s is None else steal_after_s
         self.max_leases = max_leases
         self._clock = clock
-        self.path = os.fspath(path) if path is not None else ""
         self.entries: Dict[str, QueueEntry] = {}
         self.order: List[str] = []
         self.draining = False
         self.lease_seq = 0
-        # counters (persisted, surfaced by the status op)
+        # counters (surfaced by the status document)
         self.leases_granted = 0
         self.steals = 0
         self.expirations = 0
@@ -262,8 +260,8 @@ class WorkQueue:
     def add_cells(self, cells: Iterable[SweepCell]) -> int:
         """Enqueue cells, deduplicated by cache key; returns how many were new.
 
-        Re-adding cells already present (e.g. resuming a journal with the
-        same grid) is a no-op per cell, so restart + re-submit is
+        Re-adding cells already present (e.g. a second job sharing cells
+        with the first) is a no-op per cell, so re-submission is
         idempotent.
         """
         added = 0
@@ -274,8 +272,6 @@ class WorkQueue:
             self.entries[key] = QueueEntry(key=key, cell=cell_to_doc(cell))
             self.order.append(key)
             added += 1
-        if added:
-            self._save()
         return added
 
     def mark_cached(self, key: str, result_doc: Dict) -> None:
@@ -287,7 +283,6 @@ class WorkQueue:
         entry.result = result_doc
         entry.from_cache = True
         entry.error = ""
-        self._save()
 
     # -- queries --------------------------------------------------------------
 
@@ -353,7 +348,6 @@ class WorkQueue:
         """
         now = self._clock() if now is None else now
         expired = 0
-        dirty = False
         for entry in self.entries.values():
             if entry.state != LEASED:
                 continue
@@ -365,7 +359,6 @@ class WorkQueue:
                 del entry.leases[lid]
                 expired += 1
                 self.expirations += 1
-                dirty = True
                 if not entry.leases:
                     self._attempt_failed(
                         entry,
@@ -373,8 +366,6 @@ class WorkQueue:
                         f"after {self.lease_s:g}s",
                         now,
                     )
-        if dirty:
-            self._save()
         return expired
 
     def lease(self, worker: str) -> Dict:
@@ -406,7 +397,6 @@ class WorkQueue:
         self.leases_granted += 1
         if stolen:
             self.steals += 1
-        self._save()
         return {
             "ok": True,
             "cell": entry.cell,
@@ -423,7 +413,6 @@ class WorkQueue:
         if entry is None or entry.state != LEASED or lease_id not in entry.leases:
             return False
         entry.leases[lease_id]["deadline"] = self._clock() + self.lease_s
-        self._save()
         return True
 
     def complete(
@@ -441,7 +430,6 @@ class WorkQueue:
         if entry.state == DONE:
             entry.duplicates += 1
             self.duplicates += 1
-            self._save()
             return {"ok": True, "accepted": False, "reason": "duplicate"}
         if lease_id not in entry.leases:
             # expired/stolen lease reporting late — the result is still the
@@ -454,7 +442,6 @@ class WorkQueue:
         entry.leases = {}
         entry.completed_by = worker
         self.completions += 1
-        self._save()
         return {"ok": True, "accepted": True}
 
     def fail(
@@ -484,25 +471,21 @@ class WorkQueue:
         del entry.leases[lease_id]
         if requeue:
             self.releases += 1
-            entry.history.append(_last_line(error))
+            entry.history.append(last_line(error, "unknown error"))
             if not entry.leases:
                 entry.state = PENDING
                 entry.not_before = now
-            self._save()
             return {"ok": True, "accepted": True, "state": entry.state}
         self.failures += 1
         if entry.leases:
-            entry.history.append(_last_line(error))
-            self._save()
+            entry.history.append(last_line(error, "unknown error"))
             return {"ok": True, "accepted": True, "state": entry.state}
         self._attempt_failed(entry, error, now)
-        self._save()
         return {"ok": True, "accepted": True, "state": entry.state}
 
     def drain(self) -> None:
         """Stop granting leases; in-flight cells may still complete."""
         self.draining = True
-        self._save()
 
     # -- internals ------------------------------------------------------------
 
@@ -541,7 +524,7 @@ class WorkQueue:
 
     def _attempt_failed(self, entry: QueueEntry, error: str, now: float) -> None:
         entry.attempts += 1
-        entry.history.append(_last_line(error))
+        entry.history.append(last_line(error, "unknown error"))
         if entry.attempts >= self.max_attempts:
             entry.state = QUARANTINED
             entry.error = error
@@ -553,91 +536,14 @@ class WorkQueue:
             entry.not_before = now + backoff
             entry.error = ""
 
-    # -- persistence ----------------------------------------------------------
-
-    def to_doc(self) -> Dict:
-        """The full queue as journal-safe plain data."""
-        return {
-            "format": QUEUE_FORMAT,
-            "lease_s": self.lease_s,
-            "max_attempts": self.max_attempts,
-            "backoff_s": self.backoff_s,
-            "backoff_cap_s": self.backoff_cap_s,
-            "steal_after_s": self.steal_after_s,
-            "max_leases": self.max_leases,
-            "lease_seq": self.lease_seq,
-            "counters": {
-                "leases_granted": self.leases_granted,
-                "steals": self.steals,
-                "expirations": self.expirations,
-                "completions": self.completions,
-                "duplicates": self.duplicates,
-                "late_completions": self.late_completions,
-                "failures": self.failures,
-                "releases": self.releases,
-            },
-            "cells": [self.entries[key].to_doc() for key in self.order],
-        }
-
-    def _save(self) -> None:
-        if not self.path:
-            return
-        tmp = f"{self.path}.{os.getpid()}.tmp"
-        with open(tmp, "w") as fh:
-            fh.write(canonical_json(self.to_doc()) + "\n")
-        os.replace(tmp, self.path)
-
-    @classmethod
-    def load(
-        cls,
-        path: Union[str, os.PathLike],
-        clock: Callable[[], float] = time.time,
-    ) -> "WorkQueue":
-        """Rebuild a queue from its journal (coordinator restart).
-
-        Leases granted by the previous coordinator are reclaimed to
-        ``pending`` immediately — their workers are gone or will report
-        late, and late completions are handled by first-writer-wins.
-        """
-        with open(path) as fh:
-            doc = json.load(fh)
-        if doc.get("format") != QUEUE_FORMAT:
-            raise ValueError(f"unsupported queue format {doc.get('format')!r}")
-        queue = cls(
-            lease_s=doc["lease_s"],
-            max_attempts=doc["max_attempts"],
-            backoff_s=doc["backoff_s"],
-            backoff_cap_s=doc["backoff_cap_s"],
-            steal_after_s=doc["steal_after_s"],
-            max_leases=doc["max_leases"],
-            clock=clock,
-            path=path,
-        )
-        queue.lease_seq = doc["lease_seq"]
-        for name, value in doc["counters"].items():
-            setattr(queue, name, value)
-        for cell_doc in doc["cells"]:
-            entry = QueueEntry.from_doc(cell_doc)
-            if entry.state == LEASED:
-                entry.leases = {}
-                entry.state = PENDING
-            queue.entries[entry.key] = entry
-            queue.order.append(entry.key)
-        return queue
-
-
-def _last_line(text: str) -> str:
-    lines = text.strip().splitlines()
-    return lines[-1] if lines else "unknown error"
-
 
 def format_status_table(doc: Dict) -> str:
     """Render a queue status document as the human-readable table.
 
-    The document is exactly :meth:`WorkQueue.status_doc` — the same
-    serialization ``repro sweep --status --json`` prints and the server's
-    ``GET /api/cluster`` embeds, so scripts parse one format and humans
-    read this table.
+    The document is exactly :meth:`WorkQueue.status_doc` — the ``queue``
+    sub-document of the server's ``GET /api/cluster``, which
+    ``repro sweep --status --json`` prints, so scripts parse one format
+    and humans read this table.
     """
     lines = [
         f"cells: {doc['total']}  "
@@ -656,220 +562,6 @@ def format_status_table(doc: Dict) -> str:
         f"  releases        {doc.get('releases', 0)}",
     ]
     return "\n".join(lines)
-
-
-# -- the coordinator ----------------------------------------------------------
-
-
-#: protocol hardening defaults: a handler thread never waits longer than
-#: this for the request line, and never buffers more than this many bytes
-READ_TIMEOUT_S = 30.0
-MAX_REQUEST_BYTES = 1_048_576
-
-
-class _ServiceServer(socketserver.ThreadingTCPServer):
-    allow_reuse_address = True
-    daemon_threads = True
-    coordinator: "Coordinator"
-    read_timeout_s = READ_TIMEOUT_S
-    max_request_bytes = MAX_REQUEST_BYTES
-
-
-class _ServiceHandler(socketserver.StreamRequestHandler):
-    def handle(self) -> None:  # pragma: no cover - exercised over real sockets
-        server = self.server
-        limit = int(server.max_request_bytes)  # type: ignore[attr-defined]
-        # a stalled client trips the read timeout and the handler thread
-        # returns; an oversized request is cut off at the size limit and
-        # rejected — either way the thread is never pinned
-        self.connection.settimeout(server.read_timeout_s)  # type: ignore[attr-defined]
-        try:
-            line = self.rfile.readline(limit + 1)
-        except OSError:  # includes socket.timeout
-            return
-        if not line:
-            return
-        if len(line) > limit:
-            reply: Dict = {
-                "ok": False,
-                "error": f"request exceeds {limit} bytes",
-            }
-        else:
-            try:
-                doc = json.loads(line)
-            except ValueError:
-                reply = {"ok": False, "error": "request is not valid JSON"}
-            else:
-                reply = self.server.coordinator.dispatch(doc)  # type: ignore[attr-defined]
-        try:
-            self.wfile.write((json.dumps(reply, sort_keys=True) + "\n").encode())
-        except OSError:
-            pass
-
-
-class Coordinator:
-    """The sweep service's server side: a locked WorkQueue behind TCP.
-
-    Construction pre-resolves cache hits exactly like ``run_cells`` does
-    (cells that request a trace file bypass cache reads); accepted
-    completions are stored back into ``cache`` so the whole grid shares
-    one content-addressed store.  ``queue_path`` makes the queue durable:
-    if the journal already exists the grid resumes from it, with
-    ``add_cells`` deduplication absorbing the re-submitted cells.
-    """
-
-    def __init__(
-        self,
-        cells: Iterable[SweepCell],
-        host: str = "127.0.0.1",
-        port: int = 0,
-        *,
-        queue_path: Union[str, os.PathLike] = "",
-        cache: Union[ResultCache, str, None] = None,
-        lease_s: float = 60.0,
-        max_attempts: int = 3,
-        backoff_s: float = 1.0,
-        backoff_cap_s: float = 60.0,
-        steal_after_s: Optional[float] = None,
-        clock: Callable[[], float] = time.time,
-        read_timeout_s: float = READ_TIMEOUT_S,
-        max_request_bytes: int = MAX_REQUEST_BYTES,
-    ) -> None:
-        if isinstance(cache, str):
-            cache = ResultCache(cache)
-        self.cache = cache
-        self._lock = threading.Lock()
-        self._clock = clock
-        if queue_path and os.path.exists(queue_path):
-            self.queue = WorkQueue.load(queue_path, clock=clock)
-            self.resumed = True
-        else:
-            self.queue = WorkQueue(
-                lease_s=lease_s,
-                max_attempts=max_attempts,
-                backoff_s=backoff_s,
-                backoff_cap_s=backoff_cap_s,
-                steal_after_s=steal_after_s,
-                clock=clock,
-                path=queue_path,
-            )
-            self.resumed = False
-        self.queue.add_cells(cells)
-        if self.cache is not None:
-            for key in self.queue.order:
-                entry = self.queue.entries[key]
-                if entry.state != PENDING:
-                    continue
-                if entry.cell["config"].get("trace_path"):
-                    continue  # must really run so the trace gets written
-                hit = self.cache.load(key)
-                if hit is not None:
-                    self.queue.mark_cached(key, result_to_dict(hit))
-        self._server = _ServiceServer((host, port), _ServiceHandler)
-        self._server.coordinator = self
-        self._server.read_timeout_s = read_timeout_s
-        self._server.max_request_bytes = max_request_bytes
-        self._thread: Optional[threading.Thread] = None
-
-    @property
-    def address(self) -> Tuple[str, int]:
-        """The bound (host, port) — resolves ``port=0`` to the real port."""
-        host, port = self._server.server_address[:2]
-        return str(host), int(port)
-
-    def start(self) -> "Coordinator":
-        """Serve requests on a background thread."""
-        self._thread = threading.Thread(
-            target=self._server.serve_forever,
-            kwargs={"poll_interval": 0.05},
-            daemon=True,
-        )
-        self._thread.start()
-        return self
-
-    def dispatch(self, doc: Dict) -> Dict:
-        """Handle one protocol request (thread-safe)."""
-        op = doc.get("op")
-        with self._lock:
-            if op == "ping":
-                return {"ok": True, "pong": True}
-            if op == "lease":
-                return self.queue.lease(str(doc.get("worker", "")))
-            if op == "renew":
-                ok = self.queue.renew(doc.get("key", ""), doc.get("lease_id", ""))
-                return {"ok": ok}
-            if op == "complete":
-                reply = self.queue.complete(
-                    doc.get("key", ""),
-                    doc.get("lease_id", ""),
-                    doc.get("result", {}),
-                    worker=str(doc.get("worker", "")),
-                    cached=bool(doc.get("cached", False)),
-                )
-                if reply.get("accepted") and self.cache is not None:
-                    self.cache.store(doc["key"], doc["result"])
-                return reply
-            if op == "fail":
-                return self.queue.fail(
-                    doc.get("key", ""),
-                    doc.get("lease_id", ""),
-                    str(doc.get("error", "")),
-                    requeue=bool(doc.get("requeue", False)),
-                )
-            if op == "status":
-                return {"ok": True, "status": self.queue.status_doc()}
-            if op == "drain":
-                self.queue.drain()
-                return {"ok": True, "draining": True}
-            return {"ok": False, "error": f"unknown op {op!r}"}
-
-    def wait(self, timeout: Optional[float] = None, poll_s: float = 0.1) -> bool:
-        """Block until the grid is done (or drained); False on timeout.
-
-        The wait loop doubles as the lease reaper: expired leases are
-        reclaimed even while no worker is polling.
-        """
-        deadline = None if timeout is None else time.monotonic() + timeout
-        while True:
-            with self._lock:
-                self.queue.expire()
-                finished = self.queue.done or (
-                    self.queue.draining and self.queue.active_leases() == 0
-                )
-            if finished:
-                return True
-            if deadline is not None and time.monotonic() >= deadline:
-                return False
-            time.sleep(poll_s)
-
-    def drain(self) -> None:
-        """Graceful shutdown: stop granting leases, let in-flight cells land."""
-        with self._lock:
-            self.queue.drain()
-
-    def outcomes(self) -> List[CellOutcome]:
-        """Per-cell outcomes in input order (thread-safe snapshot)."""
-        with self._lock:
-            return self.queue.outcomes()
-
-    def status(self) -> Dict:
-        """The queue's status snapshot (thread-safe)."""
-        with self._lock:
-            return self.queue.status_doc()
-
-    def close(self) -> None:
-        """Stop serving and release the socket."""
-        self._server.shutdown()
-        self._server.server_close()
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-            self._thread = None
-
-    def __enter__(self) -> "Coordinator":
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
 
 # -- the worker ---------------------------------------------------------------
@@ -915,7 +607,7 @@ class WorkerStats:
     completed: int = 0
     cached: int = 0
     failed: int = 0
-    rejected: int = 0  # completions the coordinator discarded as duplicates
+    rejected: int = 0  # completions the server discarded or refused
     released: int = 0  # in-flight leases handed back on SIGTERM/SIGINT
     #: signal number that stopped the loop early (0 = ran to completion)
     stopped_by_signal: int = 0
@@ -932,12 +624,12 @@ def run_worker(
     request_timeout: float = 30.0,
     handle_signals: bool = True,
 ) -> WorkerStats:
-    """Pull cells from a coordinator until the grid is done.
+    """Pull cells from a ``repro serve`` queue until it has nothing left.
 
     Each leased cell executes through :func:`run_cells` (jobs=1, with the
     worker's own ``cache``) while a daemon thread renews the lease every
     third of its deadline; the serialized result (or the traceback) is
-    then reported back.  Transient connection errors retry; a coordinator
+    then reported back.  Transient connection errors retry; a server
     that disappears *after* this worker did real work is treated as a
     finished grid (it exits once everything is done).
 
@@ -951,6 +643,11 @@ def run_worker(
     if isinstance(cache, str):
         cache = ResultCache(cache)
     stats = WorkerStats(worker_id or f"{socket.gethostname()}-{os.getpid()}")
+
+    def call(op: str, doc: Dict) -> Dict:
+        doc = dict(doc, worker=stats.worker_id)
+        return _http(address, "POST", f"/api/queue/{op}", stats.worker_id,
+                     doc, timeout=request_timeout)
 
     def _on_signal(signum, frame) -> None:
         raise WorkerShutdown(signum)
@@ -967,17 +664,14 @@ def run_worker(
     try:
         while True:
             try:
-                reply = request(
-                    address, {"op": "lease", "worker": stats.worker_id},
-                    timeout=request_timeout,
-                )
+                reply = call("lease", {})
             except (OSError, ServiceError) as exc:
                 connect_failures += 1
                 if stats.leases and connect_failures >= 3:
-                    break  # grid finished and the coordinator went away
+                    break  # grid finished and the server went away
                 if connect_failures >= 20:
                     raise ServiceError(
-                        f"cannot reach coordinator at {address[0]}:{address[1]}: {exc}"
+                        f"cannot reach server at {address[0]}:{address[1]}: {exc}"
                     )
                 time.sleep(poll_s)
                 continue
@@ -1003,10 +697,7 @@ def run_worker(
             def _renew(key: str = key, lease_id: str = lease_id) -> None:
                 while not stop.wait(renew_every):
                     try:
-                        request(address, {
-                            "op": "renew", "key": key, "lease_id": lease_id,
-                            "worker": stats.worker_id,
-                        }, timeout=request_timeout)
+                        call("renew", {"key": key, "lease_id": lease_id})
                     except (OSError, ServiceError):
                         return
             renewer = threading.Thread(target=_renew, daemon=True)
@@ -1019,18 +710,18 @@ def run_worker(
             if spec.kind == "delay-complete" and stats.leases >= spec.n:
                 time.sleep(spec.delay_s)  # straggler: lease may expire under us
             if outcome.ok:
-                msg = {
-                    "op": "complete", "worker": stats.worker_id, "key": key,
-                    "lease_id": lease_id, "result": result_to_dict(outcome.result),
+                op, msg = "complete", {
+                    "key": key, "lease_id": lease_id,
+                    "result": result_to_dict(outcome.result),
                     "cached": outcome.from_cache,
+                    "duration_s": outcome.duration_s,
                 }
             else:
-                msg = {
-                    "op": "fail", "worker": stats.worker_id, "key": key,
-                    "lease_id": lease_id, "error": outcome.error,
+                op, msg = "fail", {
+                    "key": key, "lease_id": lease_id, "error": outcome.error,
                 }
             try:
-                ack = request(address, msg, timeout=request_timeout)
+                ack = call(op, msg)
             except (OSError, ServiceError):
                 in_flight = None
                 continue  # the lease will expire and the cell be re-run
@@ -1050,15 +741,14 @@ def run_worker(
         if in_flight is not None:
             key, lease_id = in_flight
             try:
-                request(address, {
-                    "op": "fail", "worker": stats.worker_id, "key": key,
-                    "lease_id": lease_id, "requeue": True,
+                call("fail", {
+                    "key": key, "lease_id": lease_id, "requeue": True,
                     "error": f"worker {stats.worker_id} shutting down "
                              f"(signal {shutdown.signum})",
-                }, timeout=request_timeout)
+                })
                 stats.released += 1
             except (OSError, ServiceError):
-                pass  # coordinator gone too; the lease will expire
+                pass  # server gone too; the lease will expire
     finally:
         for sig, handler in previous.items():
             signal.signal(sig, handler)

@@ -159,9 +159,9 @@ class ResultCache:
     Entries are canonical-JSON files under ``root/<key[:2]>/<key>.json``,
     written atomically (unique temp file + ``os.replace``) so a crashed
     writer can at worst leave a truncated temp file, never a corrupt
-    entry.  Concurrent writers of the same key — two sweep-service
-    workers finishing the same cell, or two coordinator handler threads
-    — are last-writer-wins: every writer renames its own private temp
+    entry.  Concurrent writers of the same key — two remote workers
+    finishing the same cell, or two server threads completing it — are
+    last-writer-wins: every writer renames its own private temp
     file over the entry, so readers only ever observe one complete
     version or none.  Anything unreadable or unparsable loads as a miss
     and is re-run.
@@ -252,14 +252,19 @@ class SweepError(RuntimeError):
     """Raised by :func:`results_of` when any cell failed."""
 
 
+def last_line(text: str, default: str = "") -> str:
+    """The last non-blank line of an error text (a traceback's message)."""
+    lines = text.strip().splitlines()
+    return lines[-1] if lines else default
+
+
 def results_of(outcomes: Sequence[CellOutcome]) -> List[ExperimentResult]:
     """Unwrap outcomes into results, raising :class:`SweepError` on failures."""
     failed = [o for o in outcomes if not o.ok]
     if failed:
         lines = []
         for o in failed:
-            last = o.error.strip().splitlines()[-1] if o.error else "unknown error"
-            lines.append(f"  - {o.cell.label()}: {last}")
+            lines.append(f"  - {o.cell.label()}: {last_line(o.error, 'unknown error')}")
         raise SweepError(
             f"{len(failed)} of {len(outcomes)} sweep cell(s) failed:\n"
             + "\n".join(lines)

@@ -14,12 +14,16 @@ Routes::
     GET  /api/jobs/{id}/events  SSE: job/cell/progress/trace/done
     GET  /api/cluster           queue/worker/lease/cache/limiter state
     GET  /api/healthz           liveness (also reports draining)
+    POST /api/queue/lease       remote worker: take one cell
+    POST /api/queue/renew       remote worker: extend a lease
+    POST /api/queue/complete    remote worker: report a result
+    POST /api/queue/fail        remote worker: report a failure / release
 
 Edge behavior (documented for clients in ``docs/SERVER.md``):
 
 * every request is charged to a per-client token bucket
-  (``X-Client-Id`` header, else peer address) — empty bucket → **429**
-  with ``Retry-After``;
+  (``X-Client-Id`` header — a remote worker sends its worker id — else
+  peer address) — empty bucket → **429** with ``Retry-After``;
 * the job backlog is bounded — full → **503**; draining → **503**;
 * request size/time limits from :mod:`repro.server.http` → 408/413/431;
 * SIGTERM/SIGINT → drain: stop accepting, let in-flight cells land,
@@ -32,9 +36,11 @@ from __future__ import annotations
 import asyncio
 import signal
 import traceback
-from typing import Dict, Optional, Set
+from functools import partial
+from typing import Callable, Dict, Optional, Set
 
 from repro.experiments.jobs import Job, JobManager, JobRejected
+from repro.experiments.serialize import result_from_dict
 from repro.server import sse
 from repro.server.http import (
     HttpError,
@@ -216,6 +222,10 @@ class Server:
             return json_response(
                 200, {"ok": True, "draining": self.manager.draining}
             )
+        if path.startswith("/api/queue/"):
+            if method != "POST":
+                raise HttpError(405, f"{method} not allowed on {path}")
+            return await self._queue_op(path[len("/api/queue/"):], request)
         if path.startswith("/api/jobs/"):
             rest = path[len("/api/jobs/"):]
             job_id, _, sub = rest.partition("/")
@@ -257,6 +267,39 @@ class Server:
             "progress": self.manager.job_status_doc(job)["progress"],
         }
         return json_response(202 if created else 200, body)
+
+    async def _queue_op(self, op: str, request: Request) -> bytes:
+        """One lease-protocol call from a remote worker.
+
+        The reply is the queue's document; ``ok: false`` (an unknown
+        cell, a result for another cell) answers 400.
+        """
+        doc = request.json()
+        if not isinstance(doc, dict):
+            raise HttpError(400, "request body must be a JSON object")
+        manager = self.manager
+        worker = str(doc.get("worker", ""))
+        key, lease_id = str(doc.get("key", "")), str(doc.get("lease_id", ""))
+        if op == "lease":
+            call = partial(manager.lease, worker)
+        elif op == "renew":
+            call = partial(manager.renew, key, lease_id)
+        elif op == "complete":
+            try:
+                result = result_from_dict(doc["result"])
+                duration_s = float(doc.get("duration_s", 0.0))
+            except Exception as exc:
+                raise HttpError(400, f"malformed completion: {exc!r}")
+            call = partial(manager.complete, key, lease_id, result, worker,
+                           bool(doc.get("cached", False)), duration_s)
+        elif op == "fail":
+            call = partial(manager.fail, key, lease_id, str(doc.get("error", "")),
+                           requeue=bool(doc.get("requeue", False)))
+        else:
+            raise HttpError(404, f"no route for POST /api/queue/{op}")
+        # a call may write the cache or the job journal — keep it off the loop
+        reply = await asyncio.to_thread(call)
+        return json_response(200 if reply.get("ok") else 400, reply)
 
     def _result(self, job: Job) -> bytes:
         doc = self.manager.job_result_doc(job)
@@ -329,8 +372,23 @@ class Server:
             self._sse_wakeups.discard(wakeup)
 
 
-async def run_server(server: Server) -> None:
-    """CLI entry: start and serve until signalled."""
+async def run_server(
+    server: Server, until: Optional[Callable[[], bool]] = None
+) -> None:
+    """CLI entry: start and serve until signalled — or, with ``until``,
+    until that predicate (polled every 0.1 s) turns true."""
     await server.start()
     print(f"serving on http://{server.host}:{server.port}", flush=True)
+    if until is not None:
+        # held so it is not collected; asyncio.run cancels it if a signal
+        # stops the server first
+        watcher = asyncio.get_running_loop().create_task(  # noqa: F841
+            _stop_when(server, until)
+        )
     await server.serve()
+
+
+async def _stop_when(server: Server, until: Callable[[], bool]) -> None:
+    while not until():
+        await asyncio.sleep(0.1)
+    server.request_stop()

@@ -394,6 +394,16 @@ class TestJobManager:
         assert job2.state == JOB_DONE and job2.stream.closed
         assert doc_to_text(revived.job_result_doc(job2)) == expected
 
+    def test_adopt_restores_the_sequence_past_four_digits(self, tmp_path):
+        manager = make_manager(tmp_path, workers=0)
+        old, _ = make_manager(tmp_path, workers=0).submit(
+            {"cells": [cell_to_doc(CELLS[0])]}
+        )
+        old.id = "j12345-" + old.id.partition("-")[2]
+        manager.adopt(old, JOB_DONE)
+        job, created = manager.submit({"cells": [cell_to_doc(CELLS[1])]})
+        assert created and job.id.startswith("j12346-")
+
     def test_torn_journal_tail_is_ignored(self, tmp_path):
         journal_path = tmp_path / "jobs.jsonl"
         journal = JobJournal(journal_path)
@@ -729,6 +739,20 @@ class TestServerHTTP:
         finally:
             revived.stop()
 
+    def test_stalled_client_gets_408_and_is_disconnected(self, tmp_path):
+        import socket
+
+        manager = make_manager(tmp_path, workers=0)
+        with ServerThread(manager, request_timeout_s=0.3) as st:
+            start = time.monotonic()
+            with socket.create_connection(("127.0.0.1", st.port),
+                                          timeout=10) as sock:
+                # send nothing: the server must answer 408 and hang up
+                reply = sock.makefile("rb").read()
+            assert reply.startswith(b"HTTP/1.1 408 ")
+            assert time.monotonic() - start < 8.0
+            assert st.request("GET", "/api/healthz")[0] == 200
+
     def test_drain_refuses_new_work_then_exits(self, tmp_path):
         manager = make_manager(tmp_path).start()
         st = ServerThread(manager)
@@ -742,6 +766,22 @@ class TestServerHTTP:
             http.client.HTTPConnection(
                 "127.0.0.1", st.port, timeout=2
             ).request("GET", "/api/healthz")
+
+
+# -- the CLI ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("argv", [
+    ["serve", "--jobstore", "jobs.jsonl", "--no-cache"],
+    ["sweep", "--serve", ":0", "--jobstore", "jobs.jsonl", "--no-cache"],
+])
+def test_jobstore_without_cache_is_rejected(argv, capsys):
+    from repro.cli import main
+
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2  # an argument error, before anything runs
+    assert "drop --no-cache" in capsys.readouterr().err
 
 
 # -- real-signal drain of the CLI server --------------------------------------
