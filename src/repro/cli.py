@@ -1168,7 +1168,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="named grid: smoke, fig7, fig8, fig9, fig10, fig11, "
                         "ablations, or all")
     p.add_argument("--jobs", type=int, default=1, metavar="N",
-                   help="worker processes (1 = run in-process)")
+                   help="cells run at once, each in a worker process "
+                        "(1 = run in-process)")
     p.add_argument("--n-jobs", type=int, default=200, metavar="N",
                    help="workload length (jobs per trace) for every cell")
     p.add_argument("--seed", type=int, default=20110926)
@@ -1187,8 +1188,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="run only the Kth of M round-robin shards (1-based); "
                         "the M shards partition the grid exactly")
     p.add_argument("--timeout", type=float, default=0.0, metavar="SECONDS",
-                   help="kill any cell exceeding this wall time (workers "
-                        "only; 0 = no limit)")
+                   help="kill any cell exceeding this wall time (needs "
+                        "--jobs > 1; 0 = no limit)")
     p.add_argument("--check-invariants", action="store_true",
                    help="run every cell with cross-component invariant "
                         "checks enabled")
@@ -1307,6 +1308,19 @@ def main(argv: Optional[List[str]] = None) -> int:
         # a restored finished job rebuilds its results from the cache
         parser.error("--jobstore needs the result cache to restore finished "
                      "jobs; drop --no-cache (or --jobstore)")
+    # only a cell in a local child process can be stopped: refuse a
+    # --timeout that would be silently ignored
+    if getattr(args, "timeout", 0.0) and args.command == "serve" \
+            and args.isolation == "thread":
+        parser.error("--timeout cannot stop a cell in a thread; drop it or "
+                     "use --isolation process")
+    if getattr(args, "timeout", 0.0) and args.command == "sweep":
+        if args.serve or args.worker or args.status:
+            parser.error("--timeout bounds local worker processes only; drop "
+                         "it with --serve, --worker or --status")
+        if args.jobs <= 1:
+            parser.error("--timeout cannot stop an in-process cell; add "
+                         "--jobs 2 or more")
     return args.func(args)
 
 

@@ -1,22 +1,22 @@
-"""The job manager: many clients' grids multiplexed onto one work queue.
+"""The job manager: the one scheduler every grid runs through.
 
-This is the bridge between the async HTTP front door
-(:mod:`repro.server`) and the process-pool/queue world of
-:mod:`repro.experiments.sweep` and :mod:`repro.experiments.service`.
-The server thread hands :class:`JobManager` parsed submissions; the
-manager turns each into a :class:`Job` — a list of content-addressed
+The HTTP server (:mod:`repro.server`), ``repro sweep --serve`` and
+``run_cells(jobs > 1)`` all submit grids here.  The manager turns each
+into a :class:`Job` — a list of content-addressed
 :class:`~repro.experiments.sweep.SweepCell` s, the tasks of the job —
 and enqueues the cells onto a single shared
-:class:`~repro.experiments.service.WorkQueue`:
+:class:`~repro.experiments.service.WorkQueue`, whose attempts, backoff,
+quarantine and straggler stealing are the one retry policy:
 
 * **Cells deduplicate across jobs.**  Two clients submitting overlapping
   grids share the overlapping cells' single execution (the queue is
   keyed by :func:`~repro.experiments.sweep.cache_key`), and every
-  completion fans out to every job that contains the cell.
+  completion fans out to every job that contains the cell (and its
+  trace to every same-key cell that asked for a trace file).
 * **Cache pre-resolution.**  Submission resolves every cell it can from
   the :class:`~repro.experiments.sweep.ResultCache` before any executor
-  touches it, exactly like ``run_cells`` does — a warm grid completes at
-  submit time with zero ``run_experiment`` calls.
+  touches it — a warm grid completes at submit time with zero
+  ``run_experiment`` calls.
 * **Idempotent submissions.**  A job's identity is a digest of its
   cells' cache keys (or an explicit client ``idempotency_key``);
   re-submitting an in-flight or finished grid returns the existing job
@@ -25,15 +25,14 @@ and enqueues the cells onto a single shared
   :meth:`~JobManager.renew`, :meth:`~JobManager.complete` and
   :meth:`~JobManager.fail` are the only way a cell moves through the
   queue.  The manager's own executor threads call them in-process and
-  run each cell through :func:`~repro.experiments.sweep.run_cells` — in
-  a worker *process* by default (``isolation='process'``: crash retry
-  and ``cell_timeout_s`` apply), or in-thread (``isolation='thread'``,
-  used by tests and by trace-streaming jobs, whose tracer records fan
-  out to the job's :class:`~repro.observability.stream.RecordStream`).
-  Remote workers (:func:`~repro.experiments.service.run_worker`) call
-  the same methods through the server's ``POST /api/queue/*`` routes,
-  so validating a result, storing it in the cache, publishing its
-  ``cell`` event and settling jobs happen in one place for both.
+  run each cell in a child process (``isolation='process'``, bounded by
+  ``cell_timeout_s``) or in-thread (``isolation='thread'``, used by
+  tests and by trace-streaming jobs, whose tracer records fan out to
+  the job's :class:`~repro.observability.stream.RecordStream`).  Remote workers
+  (:func:`~repro.experiments.service.run_worker`) call the same methods
+  through the server's ``POST /api/queue/*`` routes, so validating a
+  result, storing it in the cache, publishing its ``cell`` event and
+  settling jobs happen in one place for both.
 * **Bounded backlog.**  At most ``max_queued_jobs`` jobs may be active;
   beyond that submissions are rejected with a 503-shaped
   :class:`JobRejected` so the API edge can push back instead of queueing
@@ -41,20 +40,23 @@ and enqueues the cells onto a single shared
 
 Every job carries a bounded :class:`RecordStream` of progress ticks,
 per-cell outcomes, and (for streaming jobs) trace-bus records — the
-substrate the server's SSE endpoint reads.  Restart journaling lives in
-:mod:`repro.server.jobstore`; the manager only exposes :meth:`adopt` for
-replaying journaled submissions into a fresh queue, where the result
-cache makes re-enqueued warm cells resolve instantly.
+substrate the server's SSE endpoint and ``run_cells``' progress read.
+Restart journaling lives in :mod:`repro.server.jobstore`; the manager
+only exposes :meth:`adopt` for replaying journaled submissions into a
+fresh queue, where the result cache makes re-enqueued warm cells
+resolve instantly.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
+import shutil
 import threading
 import time
 import traceback
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
@@ -77,9 +79,11 @@ from repro.experiments.sweep import (
     cache_key,
     last_line,
     outcomes_to_doc,
-    run_cells,
+    run_in_process,
+    run_isolated,
 )
 from repro.observability.stream import RecordStream
+from repro.observability.trace import Tracer
 
 #: job lifecycle states
 RUNNING = "running"
@@ -202,6 +206,13 @@ class Job:
         )
 
 
+def _publish_trace(streams: List[RecordStream], record) -> None:
+    """Tracer subscriber: fan one trace record out to the job streams."""
+    doc = {"type": record.type, "t": record.time, "data": dict(record.data)}
+    for stream in streams:
+        stream.publish("trace", doc)
+
+
 def job_identity(keys: List[str], spec: Dict) -> str:
     """The default idempotency key: a digest of the cells + options."""
     doc = {"keys": sorted(keys), "stream": bool(spec.get("stream", False))}
@@ -228,6 +239,9 @@ class JobManager:
     ) -> None:
         if isolation not in ("process", "thread"):
             raise ValueError(f"unknown isolation {isolation!r}")
+        if cell_timeout_s is not None and isolation == "thread":
+            raise ValueError("cell_timeout_s needs isolation='process' "
+                             "(a cell running in a thread cannot be stopped)")
         if isinstance(cache, (str, Path)):
             cache = ResultCache(cache)
         self.cache = cache
@@ -459,8 +473,28 @@ class JobManager:
             reply = self.queue.complete(key, lease_id, doc, worker=worker,
                                         cached=cached)
             if reply.get("accepted"):
+                self._copy_trace(key)
                 self._cell_finished(key, True, cached, duration_s, "")
         return reply
+
+    def _copy_trace(self, key: str) -> None:
+        """Copy the executed cell's trace to every same-key job cell that
+        asked for a trace file of its own.  The queue runs a key once, and
+        same-key traces are byte-identical (the header drops ``trace_path``).
+        """
+        source = self.queue.entries[key].cell["config"]["trace_path"]
+        if not source:
+            return
+        targets = {
+            cell.config.trace_path
+            for job in self.jobs.values() if job.active and key in job.key_set
+            for cell, cell_key in zip(job.cells, job.keys) if cell_key == key
+        }
+        for target in sorted(targets - {"", source}):
+            try:
+                shutil.copyfile(source, target)
+            except OSError:
+                pass  # a remote worker wrote the source on its own host
 
     def fail(
         self,
@@ -523,6 +557,8 @@ class JobManager:
                 self._current[name] = {"key": key, "tag": cell.tag}
             try:
                 outcome = self._execute(cell, key, streams)
+            except Exception:  # e.g. no child process could be started
+                outcome = CellOutcome(cell, None, error=traceback.format_exc(), key=key)
             finally:
                 self._current[name] = None
             if outcome.ok:
@@ -536,40 +572,12 @@ class JobManager:
         """Run one cell; trace-streaming cells run in-process with a tracer."""
         self.cells_executed += 1
         if streams:
-            return self._execute_streaming(cell, key, streams)
-        jobs = 1 if self.isolation == "thread" else 2
-        timeout = self.cell_timeout_s if jobs > 1 else None
-        # no cache here: complete() is the one place results are stored
-        [outcome] = run_cells([cell], jobs=jobs, timeout_s=timeout)
-        return outcome
-
-    def _execute_streaming(
-        self, cell: SweepCell, key: str, streams: List[RecordStream]
-    ):
-        """In-process execution with trace-bus fan-out to the job streams."""
-        from repro.experiments.runner import run_experiment
-        from repro.observability.trace import Tracer
-
-        tracer = Tracer(engine_events=False)
-
-        def fan_out(record) -> None:
-            doc = {"type": record.type, "t": record.time, "data": dict(record.data)}
-            for stream in streams:
-                stream.publish("trace", doc)
-
-        tracer.subscribe(fan_out)
-        started = time.perf_counter()
-        try:
-            workload = cell.workload.materialize()
-            result = run_experiment(cell.config, workload, tracer=tracer)
-        except Exception:
-            return CellOutcome(
-                cell, None, error=traceback.format_exc(), key=key,
-                duration_s=time.perf_counter() - started,
-            )
-        return CellOutcome(
-            cell, result, key=key, duration_s=time.perf_counter() - started,
-        )
+            tracer = Tracer(engine_events=False)
+            tracer.subscribe(partial(_publish_trace, streams))
+            return run_in_process(cell, key, tracer=tracer)
+        if self.isolation == "thread":
+            return run_in_process(cell, key)
+        return run_isolated(cell, key, self.cell_timeout_s)
 
     # -- job state -------------------------------------------------------------
 
@@ -653,26 +661,28 @@ class JobManager:
                 "cells": cells,
             }
 
-    def job_outcomes(self, job: Job) -> List[CellOutcome]:
-        """One :class:`CellOutcome` per job cell, in job order.
-
-        Cells the queue no longer holds (a job restored from the journal
-        as finished) are read back from the result cache.
-        """
+    def cell_outcome(self, cell: SweepCell, key: str) -> CellOutcome:
+        """One job cell's outcome, read back from the result cache if the
+        queue no longer holds it (a job restored from the journal as
+        finished).  The result carries ``cell``'s own config: a same-key
+        cell that ran in its place may differ in ``trace_path``."""
         with self._lock:
-            outcomes = []
-            for cell, key in zip(job.cells, job.keys):
-                entry = self.queue.entries.get(key)
-                if entry is None or (entry.result is None and not entry.error):
-                    hit = None if self.cache is None else self.cache.load(key)
-                    outcomes.append(CellOutcome(cell, hit, from_cache=True, key=key))
-                    continue
+            entry = self.queue.entries.get(key)
+            if entry is None or (entry.result is None and not entry.error):
+                hit = None if self.cache is None else self.cache.load(key)
+                outcome = CellOutcome(cell, hit, from_cache=True, key=key)
+            else:
                 result = None if entry.result is None else result_from_dict(entry.result)
-                outcomes.append(CellOutcome(
-                    cell, result, error=entry.error,
-                    from_cache=entry.from_cache, key=key,
-                ))
-            return outcomes
+                outcome = CellOutcome(cell, result, error=entry.error,
+                                      from_cache=entry.from_cache, key=key)
+        if outcome.ok and outcome.result.config != cell.config:
+            outcome.result = dataclasses.replace(outcome.result, config=cell.config)
+        return outcome
+
+    def job_outcomes(self, job: Job) -> List[CellOutcome]:
+        """One :class:`CellOutcome` per job cell, in job order."""
+        with self._lock:
+            return [self.cell_outcome(c, k) for c, k in zip(job.cells, job.keys)]
 
     def job_result_doc(self, job: Job) -> Optional[Dict]:
         """The finished job's outcome document (``--out`` shape, no

@@ -1,10 +1,10 @@
 """Remote sweep workers and the lease state machine they share.
 
-:mod:`repro.experiments.sweep` fans a grid out over *local* worker
-processes.  ``repro serve`` (:mod:`repro.server`) runs grids for many
-clients over one :class:`~repro.experiments.jobs.JobManager`; this module
-holds the two pieces that let machines other than the server's run the
-cells, while sharing its content-addressed
+Every grid — a ``repro serve`` submission, ``sweep --serve``, or
+``run_cells(jobs > 1)`` — runs as a job on a
+:class:`~repro.experiments.jobs.JobManager`; this module holds the queue
+under it and the worker loop that lets machines other than the server's
+run the cells, while sharing its content-addressed
 :class:`~repro.experiments.sweep.ResultCache`:
 
 * :class:`WorkQueue` — the manager's state machine.  Every cell is
@@ -20,8 +20,8 @@ cells, while sharing its content-addressed
   (lease expiry followed by a slow worker reporting anyway) are
   acknowledged but discarded deterministically.
 * :func:`run_worker` — the remote worker loop: lease a cell over the
-  server's ``POST /api/queue/*`` routes, execute it through the existing
-  :func:`~repro.experiments.sweep.run_cells` machinery (jobs=1, with the
+  server's ``POST /api/queue/*`` routes, execute it through the serial
+  :func:`~repro.experiments.sweep.run_cells` path (jobs=1, with the
   worker's own cache), renew the lease from a background thread while
   the cell runs, and report the serialized result (or the failure
   traceback) back.  ``chaos`` specs inject deterministic faults — SIGKILL
@@ -53,11 +53,9 @@ from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple, 
 from repro.experiments.serialize import (
     config_from_dict,
     config_to_dict,
-    result_from_dict,
     result_to_dict,
 )
 from repro.experiments.sweep import (
-    CellOutcome,
     ResultCache,
     SweepCell,
     WorkloadSpec,
@@ -115,9 +113,10 @@ def parse_address(spec: str) -> Tuple[str, int]:
 
 def _http(
     address: Tuple[str, int], method: str, path: str, client: str,
-    doc: Optional[Dict] = None, timeout: float = 30.0,
+    doc: Optional[Dict] = None,
 ) -> Dict:
-    """One JSON round-trip to the server; waits out 429 backpressure.
+    """One JSON round-trip to the server (30 s socket timeout); waits out
+    429 backpressure.
 
     A 400 reply is returned (its ``error`` says what was refused); any
     other non-200 status, or a reply that is not a JSON object, raises
@@ -126,7 +125,7 @@ def _http(
     body = None if doc is None else json.dumps(doc)
     headers = {"X-Client-Id": client, "Content-Type": "application/json"}
     while True:
-        conn = http.client.HTTPConnection(address[0], address[1], timeout=timeout)
+        conn = http.client.HTTPConnection(address[0], address[1], timeout=30.0)
         try:
             conn.request(method, path, body=body, headers=headers)
             resp = conn.getresponse()
@@ -147,9 +146,9 @@ def _http(
     return reply
 
 
-def queue_status(address: Tuple[str, int], timeout: float = 30.0) -> Dict:
+def queue_status(address: Tuple[str, int]) -> Dict:
     """The server's queue status document (``GET /api/cluster`` ``queue``)."""
-    return _http(address, "GET", "/api/cluster", "status", timeout=timeout)["queue"]
+    return _http(address, "GET", "/api/cluster", "status")["queue"]
 
 
 def cell_to_doc(cell: SweepCell) -> Dict:
@@ -321,21 +320,6 @@ class WorkQueue:
         }
         doc.update(self.counts())
         return doc
-
-    def outcomes(self) -> List[CellOutcome]:
-        """One :class:`CellOutcome` per cell, in input order."""
-        out = []
-        for key in self.order:
-            entry = self.entries[key]
-            result = None if entry.result is None else result_from_dict(entry.result)
-            out.append(CellOutcome(
-                cell=cell_from_doc(entry.cell),
-                result=result,
-                error=entry.error,
-                from_cache=entry.from_cache,
-                key=key,
-            ))
-        return out
 
     # -- transitions ----------------------------------------------------------
 
@@ -620,9 +604,6 @@ def run_worker(
     no_cache: bool = False,
     poll_s: float = 0.5,
     chaos: Union[str, ChaosSpec] = "",
-    max_cells: Optional[int] = None,
-    request_timeout: float = 30.0,
-    handle_signals: bool = True,
 ) -> WorkerStats:
     """Pull cells from a ``repro serve`` queue until it has nothing left.
 
@@ -633,8 +614,8 @@ def run_worker(
     that disappears *after* this worker did real work is treated as a
     finished grid (it exits once everything is done).
 
-    SIGTERM/SIGINT stop the loop gracefully (``handle_signals``, main
-    thread only): the in-flight lease is *released* back to the queue —
+    SIGTERM/SIGINT stop the loop gracefully (when called from the main
+    thread): the in-flight lease is *released* back to the queue —
     ``fail`` with ``requeue``, charging no attempt — and the function
     returns with ``stats.stopped_by_signal`` set, instead of abandoning
     the lease until its expiry reclaims the cell.
@@ -646,14 +627,13 @@ def run_worker(
 
     def call(op: str, doc: Dict) -> Dict:
         doc = dict(doc, worker=stats.worker_id)
-        return _http(address, "POST", f"/api/queue/{op}", stats.worker_id,
-                     doc, timeout=request_timeout)
+        return _http(address, "POST", f"/api/queue/{op}", stats.worker_id, doc)
 
     def _on_signal(signum, frame) -> None:
         raise WorkerShutdown(signum)
 
     previous = {}
-    if handle_signals and threading.current_thread() is threading.main_thread():
+    if threading.current_thread() is threading.main_thread():
         for sig in (signal.SIGTERM, signal.SIGINT):
             try:
                 previous[sig] = signal.signal(sig, _on_signal)
@@ -734,8 +714,6 @@ def run_worker(
                     stats.cached += 1
             else:
                 stats.rejected += 1
-            if max_cells is not None and stats.leases >= max_cells:
-                break
     except WorkerShutdown as shutdown:
         stats.stopped_by_signal = shutdown.signum
         if in_flight is not None:

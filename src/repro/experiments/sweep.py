@@ -1,4 +1,4 @@
-"""Parallel sweep executor with a content-addressed result cache.
+"""Sweep cells, the content-addressed result cache, and one-cell executors.
 
 The paper's evaluation is a large grid of independent ``run_experiment``
 cells (figures 7-11, the sensitivity sweeps, the ablations).  Each cell
@@ -6,11 +6,15 @@ is deterministic given its :class:`~repro.experiments.runner.ExperimentConfig`
 and workload spec, which makes the grid embarrassingly parallel *and*
 perfectly cacheable:
 
-* :func:`run_cells` fans cells out over worker processes (``jobs > 1``)
-  or runs them in-process (``jobs == 1``, the byte-identical serial
-  path).  Every worker derives all randomness from the cell's own seeds,
-  so results do not depend on worker count, scheduling order, or cache
-  state.
+* :func:`run_cells` runs cells in-process (``jobs == 1``, the
+  byte-identical serial reference) or as one job on a private
+  :class:`~repro.experiments.jobs.JobManager` (``jobs > 1``), the one
+  scheduler.  Every cell derives all randomness from its own seeds, so
+  results do not depend on worker count, scheduling order, or cache state.
+* :func:`run_in_process` runs one cell here; :func:`run_isolated` runs it
+  in a child process, failing it with its exit code if the child dies
+  and terminating it past a timeout.  The job queue retries either kind
+  of failure once.
 * :class:`ResultCache` stores each result under a SHA-256 of the cell's
   canonical identity — config + workload spec + ``CACHE_VERSION`` (a
   code-relevant version tag, bumped whenever a simulator change is
@@ -19,11 +23,6 @@ perfectly cacheable:
   result (``trace_path``, profiler settings) are excluded from the key;
   cells that request a trace file bypass cache *reads* so the trace is
   actually written.
-* A worker that raises reports the cell failed with its traceback; a
-  worker that *dies* (signal, hard crash) is retried once and then
-  marked failed with its exit code — either way the rest of the sweep
-  keeps going.  ``timeout_s`` bounds each cell's wall time; a timed-out
-  worker is terminated and the cell marked failed.
 * :func:`shard_cells` splits a cell list into ``K/M`` round-robin
   shards for CI fan-out; the M shards partition the grid exactly.
 
@@ -38,10 +37,10 @@ import json
 import multiprocessing as mp
 import os
 import sys
+import threading
 import time
 import traceback
-from dataclasses import dataclass, field
-from multiprocessing.connection import wait as _conn_wait
+from dataclasses import dataclass
 from pathlib import Path
 from typing import (
     Callable,
@@ -58,7 +57,6 @@ from typing import (
 from repro.experiments.runner import ExperimentConfig, ExperimentResult, run_experiment
 from repro.experiments.serialize import (
     canonical_json,
-    config_from_dict,
     config_to_dict,
     result_from_dict,
     result_to_dict,
@@ -80,6 +78,9 @@ _KEY_EXCLUDED_FIELDS = ("trace_path", "profile", "profile_sample_every")
 
 #: per-process counter making cache temp-file names unique across threads
 _tmp_seq = itertools.count()
+
+#: serializes child-process starts across executor threads
+_start_lock = threading.Lock()
 
 
 class WorkloadSpec(NamedTuple):
@@ -361,23 +362,40 @@ def cache_progress(cache: Optional[ResultCache]) -> ProgressFn:
 # -- the executor -------------------------------------------------------------
 
 
-def _worker_main(conn, config_dict: Dict, workload_tuple: Tuple) -> None:
+def run_in_process(
+    cell: SweepCell,
+    key: str = "",
+    tracer=None,
+    memo: Optional[Dict[WorkloadSpec, Workload]] = None,
+) -> CellOutcome:
+    """Run one cell here, optionally traced; an exception fails it with
+    its traceback.  ``memo`` reuses workloads earlier cells materialized."""
+    started = time.perf_counter()
+    try:
+        workload = None if memo is None else memo.get(cell.workload)
+        if workload is None:
+            workload = cell.workload.materialize()
+            if memo is not None:
+                memo[cell.workload] = workload
+        result = run_experiment(cell.config, workload, tracer=tracer)
+    except Exception:
+        return CellOutcome(
+            cell, None, error=traceback.format_exc(), key=key,
+            duration_s=time.perf_counter() - started,
+        )
+    return CellOutcome(cell, result, key=key, duration_s=time.perf_counter() - started)
+
+
+def _worker_main(conn, cell: SweepCell) -> None:
     """Child-process entry: run one cell, ship the serialized result back.
 
-    All randomness is derived from the config/workload seeds, never from
-    inherited process state, so the result is independent of which worker
-    runs the cell.
+    All randomness is derived from the cell's seeds, never from inherited
+    process state, so the result is independent of which process runs it.
     """
     try:
-        config = config_from_dict(config_dict)
-        workload = WorkloadSpec(*workload_tuple).materialize()
-        result = run_experiment(config, workload)
-        conn.send(("ok", result_to_dict(result)))
-    except BaseException:
-        try:
-            conn.send(("error", traceback.format_exc()))
-        except Exception:
-            pass
+        outcome = run_in_process(cell)
+        conn.send(("ok", result_to_dict(outcome.result)) if outcome.ok
+                  else ("error", outcome.error))
     finally:
         conn.close()
 
@@ -392,11 +410,43 @@ def _stop(proc: mp.process.BaseProcess) -> None:
         proc.join(timeout=2.0)
 
 
-@dataclass
-class _Running:
-    proc: mp.process.BaseProcess
-    conn: object
-    started: float = field(default_factory=time.perf_counter)
+def run_isolated(
+    cell: SweepCell, key: str = "", timeout_s: Optional[float] = None
+) -> CellOutcome:
+    """Run one cell in a fresh child process, waiting at most ``timeout_s``:
+    its result, its traceback, ``worker died (exit code N)``, or ``timed
+    out`` (the child is then terminated)."""
+    ctx = mp.get_context()
+    # a child forked by another thread while the write end is open here
+    # would inherit it, hiding this child's death until that one exits
+    with _start_lock:
+        recv_conn, send_conn = ctx.Pipe(duplex=False)
+        proc = ctx.Process(target=_worker_main, args=(send_conn, cell), daemon=True)
+        started = time.perf_counter()
+        proc.start()
+        send_conn.close()
+    msg = None
+    try:
+        answered = recv_conn.poll(timeout_s)  # True on a report or on EOF
+        if answered:
+            try:
+                msg = recv_conn.recv()
+            except (EOFError, OSError):
+                pass  # died before (or while) reporting
+            proc.join(timeout=5.0)
+    finally:
+        recv_conn.close()
+        _stop(proc)
+    duration = time.perf_counter() - started
+    if not answered:
+        error = f"cell timed out after {timeout_s:g}s and was terminated"
+    elif msg is None:
+        error = f"worker died (exit code {proc.exitcode})"
+    elif msg[0] == "ok":
+        return CellOutcome(cell, result_from_dict(msg[1]), key=key, duration_s=duration)
+    else:
+        error = msg[1]
+    return CellOutcome(cell, None, error=error, key=key, duration_s=duration)
 
 
 def run_cells(
@@ -405,28 +455,29 @@ def run_cells(
     cache: Union[ResultCache, str, Path, None] = None,
     no_cache: bool = False,
     timeout_s: Optional[float] = None,
-    crash_retries: int = 1,
     progress: Optional[ProgressFn] = None,
 ) -> List[CellOutcome]:
     """Run every cell, in input order, and return one outcome per cell.
 
     ``jobs == 1`` executes in-process (identical to calling
-    ``run_experiment`` in a loop); ``jobs > 1`` fans out over worker
-    processes.  ``cache`` may be a :class:`ResultCache` or a directory
-    path; ``no_cache`` disables it entirely.  ``timeout_s`` bounds each
-    cell's wall time (workers only).  A crashed worker is retried
-    ``crash_retries`` times before its cell is marked failed; a worker
-    that raises a Python exception fails immediately with the traceback.
+    ``run_experiment`` in a loop).  ``jobs > 1`` runs the cells as one
+    job on a private :class:`~repro.experiments.jobs.JobManager` whose
+    ``jobs`` executors each run a cell in a child process; the queue
+    retries a failed, crashed or timed-out cell once.  ``cache`` may be a
+    :class:`ResultCache` or a directory path; ``no_cache`` disables it.
+    ``timeout_s`` bounds each cell's wall time and needs ``jobs > 1``.
     """
     cells = list(cells)
     if isinstance(cache, (str, Path)):
         cache = ResultCache(cache)
     if no_cache:
         cache = None
+    if timeout_s is not None and jobs <= 1:
+        raise ValueError("timeout_s needs jobs > 1 (a cell running in-process "
+                         "cannot be stopped)")
 
     total = len(cells)
     outcomes: List[Optional[CellOutcome]] = [None] * total
-    keys = [cache_key(c.config, c.workload) for c in cells]
     done = 0
     run_durations: List[float] = []
 
@@ -441,115 +492,75 @@ def run_cells(
             eta = mean * (total - done) / max(1, jobs)
             progress(outcome, done, total, eta)
 
-    pending: List[int] = []
-    for i, cell in enumerate(cells):
-        # a cell that writes a trace must actually run, so skip cache reads
-        if cache is not None and not cell.config.trace_path:
-            hit = cache.load(keys[i])
-            if hit is not None:
-                finish(i, CellOutcome(cell, hit, from_cache=True, key=keys[i]))
-                continue
-        pending.append(i)
-
-    if jobs <= 1:
-        memo: Dict[WorkloadSpec, Workload] = {}
-        for i in pending:
-            cell = cells[i]
-            started = time.perf_counter()
-            try:
-                if cell.workload not in memo:
-                    memo[cell.workload] = cell.workload.materialize()
-                result = run_experiment(cell.config, memo[cell.workload])
-            except Exception:
-                finish(i, CellOutcome(
-                    cell, None, error=traceback.format_exc(), key=keys[i],
-                    duration_s=time.perf_counter() - started,
-                ))
-                continue
-            if cache is not None:
-                cache.store(keys[i], result_to_dict(result))
-            finish(i, CellOutcome(
-                cell, result, key=keys[i],
-                duration_s=time.perf_counter() - started,
-            ))
+    if jobs > 1 and cells:
+        _run_as_job(cells, jobs, cache, timeout_s, finish)
         return outcomes  # type: ignore[return-value]
 
-    ctx = mp.get_context()
-    queue: List[int] = list(pending)
-    attempts: Dict[int, int] = {i: 0 for i in pending}
-    running: Dict[int, _Running] = {}
-    try:
-        while queue or running:
-            while queue and len(running) < jobs:
-                i = queue.pop(0)
-                recv_conn, send_conn = ctx.Pipe(duplex=False)
-                proc = ctx.Process(
-                    target=_worker_main,
-                    args=(
-                        send_conn,
-                        config_to_dict(cells[i].config),
-                        tuple(cells[i].workload),
-                    ),
-                    daemon=True,
-                )
-                proc.start()
-                send_conn.close()
-                running[i] = _Running(proc, recv_conn)
-            _conn_wait([r.conn for r in running.values()], timeout=0.1)
-            now = time.perf_counter()
-            for i, r in list(running.items()):
-                msg = None
-                if r.conn.poll():
-                    try:
-                        msg = r.conn.recv()
-                    except (EOFError, OSError):
-                        msg = None  # died mid-send: treat as a crash
-                elif r.proc.is_alive():
-                    if timeout_s is not None and now - r.started > timeout_s:
-                        _stop(r.proc)
-                        r.conn.close()
-                        del running[i]
-                        finish(i, CellOutcome(
-                            cells[i], None, key=keys[i],
-                            error=(f"cell timed out after {timeout_s:g}s "
-                                   "and was terminated"),
-                            duration_s=now - r.started,
-                        ))
-                    continue
-                duration = now - r.started
-                r.conn.close()
-                r.proc.join(timeout=5.0)
-                exitcode = r.proc.exitcode
-                _stop(r.proc)
-                del running[i]
-                if msg is None:  # dead worker, no report
-                    attempts[i] += 1
-                    if attempts[i] <= crash_retries:
-                        queue.append(i)
-                    else:
-                        finish(i, CellOutcome(
-                            cells[i], None, key=keys[i],
-                            error=(f"worker died (exit code {exitcode}) "
-                                   f"on {attempts[i]} attempt(s)"),
-                            duration_s=duration,
-                        ))
-                elif msg[0] == "ok":
-                    if cache is not None:
-                        cache.store(keys[i], msg[1])
-                    finish(i, CellOutcome(
-                        cells[i], result_from_dict(msg[1]), key=keys[i],
-                        duration_s=duration,
-                    ))
-                else:
-                    finish(i, CellOutcome(
-                        cells[i], None, error=msg[1], key=keys[i],
-                        duration_s=duration,
-                    ))
-    finally:
-        for r in running.values():
-            _stop(r.proc)
-            r.conn.close()
+    memo: Dict[WorkloadSpec, Workload] = {}
+    for i, cell in enumerate(cells):
+        key = cache_key(cell.config, cell.workload)
+        # a cell that writes a trace must actually run, so skip cache reads
+        if cache is not None and not cell.config.trace_path:
+            hit = cache.load(key)
+            if hit is not None:
+                finish(i, CellOutcome(cell, hit, from_cache=True, key=key))
+                continue
+        outcome = run_in_process(cell, key, memo=memo)
+        if cache is not None and outcome.ok:
+            cache.store(key, result_to_dict(outcome.result))
+        finish(i, outcome)
     return outcomes  # type: ignore[return-value]
+
+
+def _run_as_job(
+    cells: List[SweepCell],
+    jobs: int,
+    cache: Optional[ResultCache],
+    timeout_s: Optional[float],
+    finish: Callable[[int, CellOutcome], None],
+) -> None:
+    """``run_cells(jobs > 1)``: the job ``sweep --serve`` would hand to
+    remote workers, run by ``jobs`` local executors.  Cells the cache
+    resolved at submission finish first, the rest on their job events."""
+    import math
+
+    from repro.experiments.jobs import JobManager
+    from repro.experiments.service import DONE, QUARANTINED, cell_to_doc
+
+    # local executors hold a cell until it returns, so no lease may expire
+    manager = JobManager(cache, workers=jobs, cell_timeout_s=timeout_s,
+                         max_cells_per_job=len(cells), lease_s=math.inf)
+    try:
+        job, _ = manager.submit({"cells": [cell_to_doc(c) for c in cells]})
+        unfinished: Dict[str, List[int]] = {}
+        for i, key in enumerate(job.keys):
+            unfinished.setdefault(key, []).append(i)
+
+        def finish_key(key: str, duration_s: float = 0.0) -> None:
+            for i in unfinished.pop(key, ()):
+                outcome = manager.cell_outcome(cells[i], key)
+                outcome.duration_s = duration_s
+                finish(i, outcome)
+
+        for key in [k for k in unfinished if manager.queue.entries[k].from_cache]:
+            finish_key(key)
+        wake = threading.Event()
+        job.stream.add_waiter(wake.set)
+        manager.start()
+        seen, closed = 0, False
+        while not closed:
+            wake.clear()
+            events, _, closed = job.stream.read_since(seen)
+            for event in events:
+                seen = event.seq
+                if event.kind == "cell" and event.data.get("state") in (DONE, QUARANTINED):
+                    finish_key(event.data["key"], event.data["duration_s"])
+            if not closed:
+                wake.wait()
+        for key in list(unfinished):  # events a full stream ring dropped
+            finish_key(key)
+    finally:
+        manager.stop()
 
 
 # -- prefix-sharing fork cells ------------------------------------------------

@@ -26,6 +26,8 @@ Edge behavior (documented for clients in ``docs/SERVER.md``):
   peer address) — empty bucket → **429** with ``Retry-After``;
 * the job backlog is bounded — full → **503**; draining → **503**;
 * request size/time limits from :mod:`repro.server.http` → 408/413/431;
+* submitted cells that name a server-side path (``trace_path``, a
+  ``"file"`` workload) → **400**, nothing queued;
 * SIGTERM/SIGINT → drain: stop accepting, let in-flight cells land,
   close SSE streams, exit.  With a job journal configured, unfinished
   jobs resume on restart (:mod:`repro.server.jobstore`).
@@ -39,7 +41,7 @@ import traceback
 from functools import partial
 from typing import Callable, Dict, Optional, Set
 
-from repro.experiments.jobs import Job, JobManager, JobRejected
+from repro.experiments.jobs import Job, JobManager, JobRejected, parse_job_spec
 from repro.experiments.serialize import result_from_dict
 from repro.server import sse
 from repro.server.http import (
@@ -257,8 +259,13 @@ class Server:
 
     async def _submit(self, request: Request) -> bytes:
         doc = request.json()
+
+        def submit():
+            _refuse_server_paths(doc)
+            return self.manager.submit(doc)
+
         # submission touches the cache (disk) — keep it off the event loop
-        job, created = await asyncio.to_thread(self.manager.submit, doc)
+        job, created = await asyncio.to_thread(submit)
         body = {
             "id": job.id,
             "state": job.state,
@@ -370,6 +377,20 @@ class Server:
         finally:
             job.stream.remove_waiter(wake)
             self._sse_wakeups.discard(wakeup)
+
+
+def _refuse_server_paths(doc: object) -> None:
+    """400 for client cells naming a path on the server's disk: a
+    ``trace_path`` to write, or a ``"file"`` workload to read and hash
+    (``/dev/zero`` never ends).  In-process ``sweep --serve`` may use both.
+    """
+    if not isinstance(doc, dict) or "cells" not in doc:
+        return  # a named grid builds its own cells
+    for cell in parse_job_spec(doc)[0]:
+        if cell.config.trace_path or cell.workload.kind == "file":
+            what = "sets trace_path" if cell.config.trace_path else "has a 'file' workload"
+            raise HttpError(400, f"cell {cell.label()!r} {what}; the server "
+                                 "opens no client-named files")
 
 
 async def run_server(

@@ -20,6 +20,7 @@ Four layers:
 
 from __future__ import annotations
 
+import dataclasses
 import http.client
 import json
 import os
@@ -404,6 +405,10 @@ class TestJobManager:
         job, created = manager.submit({"cells": [cell_to_doc(CELLS[1])]})
         assert created and job.id.startswith("j12346-")
 
+    def test_thread_isolation_refuses_a_cell_timeout(self, tmp_path):
+        with pytest.raises(ValueError, match="isolation='process'"):
+            make_manager(tmp_path, cell_timeout_s=1.0)
+
     def test_torn_journal_tail_is_ignored(self, tmp_path):
         journal_path = tmp_path / "jobs.jsonl"
         journal = JobJournal(journal_path)
@@ -497,6 +502,19 @@ class ServerThread:
             if kind is not None:
                 events.append((kind, seq, data))
         return events
+
+
+def _assert_submission_refused(tmp_path, cell, match):
+    """POST one cell: 400 naming ``match``, and nothing queued."""
+    manager = make_manager(tmp_path).start()
+    try:
+        with ServerThread(manager) as st:
+            status, _, data = st.request(
+                "POST", "/api/jobs", body={"cells": [cell_to_doc(cell)]})
+        assert status == 400 and match in json.loads(data)["error"]
+        assert not manager.jobs and not manager.queue.entries
+    finally:
+        manager.stop()
 
 
 class TestServerHTTP:
@@ -673,6 +691,18 @@ class TestServerHTTP:
             assert st.request("DELETE", "/api/cluster")[0] == 405
             assert st.request("PUT", "/api/jobs")[0] == 405
 
+    def test_cells_naming_a_trace_path_are_refused(self, tmp_path):
+        target = tmp_path / "client-chosen.jsonl"
+        config = dataclasses.replace(CELLS[0].config, trace_path=str(target))
+        _assert_submission_refused(tmp_path, CELLS[0]._replace(config=config),
+                                   "sets trace_path")
+        assert not target.exists()
+
+    def test_cells_with_a_file_workload_are_refused(self, tmp_path):
+        workload = WorkloadSpec("file", seed=SEED, path="/dev/zero")
+        _assert_submission_refused(tmp_path, CELLS[0]._replace(workload=workload),
+                                   "'file' workload")
+
     def test_sse_streams_trace_records(self, tmp_path):
         manager = make_manager(tmp_path).start()
         try:
@@ -782,6 +812,21 @@ def test_jobstore_without_cache_is_rejected(argv, capsys):
         main(argv)
     assert exc.value.code == 2  # an argument error, before anything runs
     assert "drop --no-cache" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, fix", [
+    (["sweep", "--timeout", "5"], "add --jobs 2"),
+    (["sweep", "--timeout", "5", "--jobs", "2", "--serve", ":0"], "drop it"),
+    (["sweep", "--timeout", "5", "--jobs", "2", "--worker", ":1"], "drop it"),
+    (["serve", "--timeout", "5", "--isolation", "thread"], "use --isolation process"),
+])
+def test_ignored_timeout_is_rejected(argv, fix, capsys):
+    from repro.cli import main
+
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2  # an argument error, before anything runs
+    assert fix in capsys.readouterr().err
 
 
 # -- real-signal drain of the CLI server --------------------------------------

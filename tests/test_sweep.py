@@ -1,4 +1,7 @@
-"""The sweep executor: cache semantics, sharding, crash/timeout isolation."""
+"""The sweep executor: cache semantics, sharding, crash/timeout isolation.
+
+``run_cells(jobs > 1)`` runs its grid as a JobManager job, so a failing
+cell there gets the queue's second attempt before it is reported."""
 
 import json
 import multiprocessing as mp
@@ -341,24 +344,23 @@ class TestFailures:
             os._exit(3)
 
         monkeypatch.setattr(sweep_mod, "run_experiment", die)
-        [outcome] = run_cells([_cell()], jobs=2, crash_retries=1)
+        [outcome] = run_cells([_cell()], jobs=2)
         assert not outcome.ok
         assert "worker died" in outcome.error and "exit code 3" in outcome.error
-        assert calls.value == 2  # first attempt + one retry
+        assert calls.value == 2  # the queue's max_attempts=2
 
     @needs_fork
     def test_worker_crash_does_not_poison_other_cells(self, monkeypatch):
         real = sweep_mod.run_experiment
 
-        def die_on_fair(config, workload):
+        def die_on_fair(config, workload, **kwargs):
             if config.scheduler == "fair":
                 os._exit(7)
-            return real(config, workload)
+            return real(config, workload, **kwargs)
 
         monkeypatch.setattr(sweep_mod, "run_experiment", die_on_fair)
         outcomes = run_cells(
-            [_cell(tag="dies", scheduler="fair"), _cell(tag="lives")],
-            jobs=2, crash_retries=0,
+            [_cell(tag="dies", scheduler="fair"), _cell(tag="lives")], jobs=2,
         )
         assert not outcomes[0].ok and "worker died" in outcomes[0].error
         assert outcomes[1].ok
@@ -374,6 +376,26 @@ class TestFailures:
         [outcome] = run_cells([_cell()], jobs=2, timeout_s=0.5)
         assert not outcome.ok
         assert "timed out" in outcome.error
+
+    def test_timeout_needs_worker_processes(self):
+        with pytest.raises(ValueError, match="jobs > 1"):
+            run_cells([_cell()], timeout_s=1.0)
+
+    def test_duplicate_key_cells_each_write_their_trace(self, tmp_path):
+        """Same-key cells under two labels run once on the job queue, yet
+        each writes its own trace, byte-identical to the serial run's."""
+        def cells(prefix):
+            return [_cell(tag=t, trace_path=str(tmp_path / f"{prefix}-{t}.jsonl"))
+                    for t in ("a", "b")]
+
+        parallel = cells("p")
+        run_cells(cells("s"))
+        outcomes = run_cells(parallel, jobs=2)
+        for t in ("a", "b"):
+            assert (tmp_path / f"p-{t}.jsonl").read_bytes() == \
+                (tmp_path / f"s-{t}.jsonl").read_bytes()
+        # each outcome reports its own cell's config, trace path included
+        assert [o.result.config for o in outcomes] == [c.config for c in parallel]
 
 
 # -- grids --------------------------------------------------------------------

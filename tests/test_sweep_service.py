@@ -329,15 +329,6 @@ class TestWorkQueue:
         assert q.complete(grant["key"], grant["lease_id"], {"m": 1})["accepted"]
         assert q.active_leases() == 0
 
-    def test_outcomes_preserve_input_order(self, serial_docs):
-        q = make_queue(FakeClock(), n_cells=3)
-        grants = {g["key"]: g["lease_id"] for g in (q.lease("w") for _ in range(3))}
-        for key in (KEYS[2], KEYS[0], KEYS[1]):  # complete out of input order
-            assert q.complete(key, grants[key], serial_docs[key])["accepted"]
-        outcomes = q.outcomes()
-        assert [o.key for o in outcomes] == list(KEYS[:3])
-        assert all(o.ok and not o.from_cache for o in outcomes)
-
 
 # -- hypothesis: random interleavings of the state machine --------------------
 
