@@ -145,6 +145,10 @@ class Cluster:
                     is_master=is_master,
                 )
             )
+        slaves = self.nodes[1:]
+        #: cluster-wide slot counts (fixed once the nodes exist)
+        self.total_map_slots = sum(n.map_slots for n in slaves)
+        self.total_reduce_slots = sum(n.reduce_slots for n in slaves)
 
     # -- convenience -------------------------------------------------------
 
@@ -162,16 +166,6 @@ class Cluster:
     def slave_ids(self) -> List[int]:
         """Node ids of the workers."""
         return [n.node_id for n in self.slaves]
-
-    @property
-    def total_map_slots(self) -> int:
-        """Cluster-wide map slot count."""
-        return sum(n.map_slots for n in self.slaves)
-
-    @property
-    def total_reduce_slots(self) -> int:
-        """Cluster-wide reduce slot count."""
-        return sum(n.reduce_slots for n in self.slaves)
 
     def node(self, node_id: int) -> Node:
         """Node by id."""

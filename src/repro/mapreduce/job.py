@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import List, NamedTuple, Optional, Set, Tuple
+from typing import Callable, List, NamedTuple, Optional, Set, Tuple
 
 from repro.hdfs.inode import INode
 from repro.hdfs.namenode import NameNode
@@ -60,6 +60,8 @@ class Job:
         "finish_time",
         "delay_wait_started",
         "delay_level",
+        "seq",
+        "on_change",
     )
 
     def __init__(self, spec: JobSpec, inode: INode) -> None:
@@ -71,9 +73,9 @@ class Job:
         self.reduces: List[ReduceTask] = [
             ReduceTask(self, i) for i in range(spec.n_reduces)
         ]
-        # pending maps kept as a list scanned at assignment time; jobs are
-        # small on average and the scan lets locality reflect the *current*
-        # NameNode view (which DARE keeps changing)
+        # pending maps kept as a list scanned when the scheduler offers this
+        # job a slot; jobs are small on average and the scan lets locality
+        # reflect the *current* NameNode view (which DARE keeps changing)
         self.pending_maps: List[MapTask] = list(self.maps)
         self.pending_block_ids: Set[int] = {t.block.block_id for t in self.maps}
         self.running_maps = 0
@@ -87,6 +89,12 @@ class Job:
         # delay-scheduling bookkeeping (used by the Fair scheduler)
         self.delay_wait_started: Optional[float] = None
         self.delay_level = 0
+        #: submission order among the scheduler's jobs (ties in every
+        #: scheduler order break on it); set by ``Scheduler.job_added``
+        self.seq = 0
+        #: called with this job after every counter transition below, so
+        #: the scheduler can re-file it in its ready sets
+        self.on_change: Optional[Callable[["Job"], None]] = None
 
     # -- queries ---------------------------------------------------------
 
@@ -114,11 +122,11 @@ class Job:
     def reduces_schedulable(self) -> bool:
         """Reduces launch once the map phase finishes (no early shuffle).
 
-        Pure counter arithmetic: this is evaluated for every active job on
-        every heartbeat's reduce-assignment round, and a per-reduce state
-        scan here dominated end-to-end profiles.  A reduce is PENDING iff
-        it is neither running nor finished (failure requeue restores both
-        the state and the running counter), so the counters are exact.
+        Pure counter arithmetic, evaluated after every transition that can
+        change it (the scheduler keeps its ``reduce_ready`` set from it).  A
+        reduce is PENDING iff it is neither running nor finished (failure
+        requeue restores both the state and the running counter), so the
+        counters are exact.
         """
         return (
             self.finished_maps == len(self.maps)
@@ -185,11 +193,51 @@ class Job:
                 return r
         return None
 
+    # -- counter transitions ---------------------------------------------------
+    #
+    # Every write to the pending/running/finished bookkeeping goes through
+    # these methods, and each ends by handing the job to ``on_change``: the
+    # scheduler's ready sets change exactly here and nowhere else.
+
+    def _changed(self) -> None:
+        if self.on_change is not None:
+            self.on_change(self)
+
     def take_map(self, task: MapTask) -> None:
         """Move a map task from pending to running bookkeeping."""
         self.pending_maps.remove(task)
         self.pending_block_ids.discard(task.block.block_id)
         self.running_maps += 1
+        self._changed()
+
+    def requeue_map(self, task: MapTask) -> None:
+        """A running map lost its last attempt: back to pending."""
+        self.running_maps -= 1
+        self.pending_maps.append(task)
+        self.pending_block_ids.add(task.block.block_id)
+        self._changed()
+
+    def finish_map(self) -> None:
+        """A running map completed."""
+        self.running_maps -= 1
+        self.finished_maps += 1
+        self._changed()
+
+    def start_reduce(self) -> None:
+        """A pending reduce started running."""
+        self.running_reduces += 1
+        self._changed()
+
+    def finish_reduce(self) -> None:
+        """A running reduce completed."""
+        self.running_reduces -= 1
+        self.finished_reduces += 1
+        self._changed()
+
+    def requeue_reduce(self) -> None:
+        """A running reduce lost its attempt: back to pending."""
+        self.running_reduces -= 1
+        self._changed()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

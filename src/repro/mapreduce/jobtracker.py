@@ -205,13 +205,14 @@ class JobTracker:
 
     def pending_work_units(self) -> int:
         """Upper bound on tasks the scheduler could place right now."""
+        scheduler = self.scheduler
         total = 0
-        speculative = self.speculation is not None
-        for job in self.scheduler.active_jobs:
+        for job in scheduler.map_ready:
             total += len(job.pending_maps)
-            if job.reduces_schedulable:
-                total += len(job.reduces) - job.running_reduces - job.finished_reduces
-            if speculative:
+        for job in scheduler.reduce_ready:
+            total += len(job.reduces) - job.running_reduces - job.finished_reduces
+        if self.speculation is not None:
+            for job in scheduler.active_jobs:
                 total += job.running_maps
         return total
 
@@ -229,7 +230,7 @@ class JobTracker:
             seen: set = set()
             locs_by_id = nn._locs_by_id
             rack_of = nn._rack_of
-            for job in self.scheduler.active_jobs:
+            for job in self.scheduler.map_ready:
                 for bid in job.pending_block_ids:
                     for nid in locs_by_id[bid]:
                         if nid not in seen:
@@ -480,8 +481,7 @@ class JobTracker:
             task.node_id = rt.tt.node_id
             task.locality = rt.locality
             self.speculative_won += 1
-        job.running_maps -= 1
-        job.finished_maps += 1
+        job.finish_map()
         self.sched_version += 1
         if self.tracer.enabled:
             self.tracer.emit(
@@ -507,7 +507,7 @@ class JobTracker:
         task.state = TaskState.RUNNING
         task.node_id = node_id
         task.start_time = now
-        job.running_reduces += 1
+        job.start_reduce()
         self.sched_version += 1
         tt.occupy_reduce_slot()
         input_bytes = job.inode.size_bytes
@@ -551,8 +551,7 @@ class JobTracker:
         self._remove_attempt(rt)
         task.state = TaskState.DONE
         task.finish_time = now
-        job.running_reduces -= 1
-        job.finished_reduces += 1
+        job.finish_reduce()
         self.sched_version += 1
         tt.release_reduce_slot()
         for cleanup in rt.cleanups:
@@ -604,13 +603,11 @@ class JobTracker:
             if isinstance(task, MapTask):
                 # the earlier attempt's locality stands in the counters
                 # (Hadoop's counters also count killed attempts)
-                job.running_maps -= 1
-                job.pending_maps.append(task)
-                job.pending_block_ids.add(task.block.block_id)
                 task.locality = None
                 task.source_node = None
+                job.requeue_map(task)
             else:
-                job.running_reduces -= 1
+                job.requeue_reduce()
             requeued += 1
         running.clear()
         self.tasks_requeued += requeued

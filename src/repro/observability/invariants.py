@@ -35,6 +35,10 @@ throttled by ``full_sweep_every`` records, a full sweep additionally asserts:
   (:meth:`~repro.hdfs.namenode.NameNode.check_integrity`).
 * **Strict policy sync** — on every live node the policy-tracked set equals
   the set of live dynamic replicas exactly.
+* **Scheduler ready sets** (when a JobTracker is wired in) — the
+  scheduler's ``map_ready`` / ``reduce_ready`` equal, in submission order,
+  a recomputation from its active jobs (those with unassigned maps / a
+  schedulable reduce), and hold no finished job.
 
 A failed check raises :class:`InvariantViolation` carrying the offending
 record and the recent trace tail.
@@ -174,6 +178,7 @@ class InvariantChecker:
         for node_id in self.namenode.datanodes:
             self._check_node(node_id, record, strict=True)
         self._check_scarlett(record)
+        self._check_ready_sets(record)
 
     # -- the checks ----------------------------------------------------------------
 
@@ -291,6 +296,30 @@ class InvariantChecker:
                         f"recorded on live node {node_id} but not stored there",
                         record,
                     )
+
+    def _check_ready_sets(self, record: Optional[TraceRecord]) -> None:
+        scheduler = getattr(self.jobtracker, "scheduler", None)
+        if scheduler is None:
+            return
+        active = scheduler.active_jobs
+        for name, ready, expected in (
+            ("map_ready", scheduler.map_ready, [j for j in active if j.pending_maps]),
+            (
+                "reduce_ready",
+                scheduler.reduce_ready,
+                [j for j in active if j.reduces_schedulable],
+            ),
+        ):
+            finished = [j.spec.job_id for j in ready if j.finish_time is not None]
+            if finished:
+                self._fail(f"scheduler {name} holds finished jobs {finished}", record)
+            if ready != expected:
+                self._fail(
+                    f"scheduler {name} holds jobs {[j.spec.job_id for j in ready]} "
+                    f"but recomputing it from the active jobs gives "
+                    f"{[j.spec.job_id for j in expected]}",
+                    record,
+                )
 
     def _check_slots(self, node_id: int, record: Optional[TraceRecord]) -> None:
         if self.jobtracker is None:

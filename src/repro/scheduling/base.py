@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from operator import attrgetter
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from repro.mapreduce.job import Job
@@ -17,17 +19,41 @@ MapPick = Tuple[Job, MapTask, Locality]
 ReducePick = Tuple[Job, ReduceTask]
 
 
+_SEQ = attrgetter("seq")
+
+
+def _refile(ready: List[Job], job: Job, wanted: bool) -> None:
+    """Put ``job`` in or out of ``ready``, a list sorted by ``Job.seq``."""
+    i = bisect_left(ready, job.seq, key=_SEQ)
+    present = i < len(ready) and ready[i] is job
+    if wanted and not present:
+        ready.insert(i, job)
+    elif present and not wanted:
+        del ready[i]
+
+
 class Scheduler:
     """Base class: tracks the active job set, defines the picking API.
 
     The JobTracker calls :meth:`pick_map` / :meth:`pick_reduce` repeatedly
     during a heartbeat while the offering node has free slots; returning
     ``None`` ends the assignment round for that slot type.
+
+    Besides the active jobs, the scheduler keeps two ready sets current at
+    every job transition (``Job.on_change``), so a pick never rescans jobs
+    with nothing to offer: :attr:`map_ready` holds the active jobs with
+    unassigned maps, :attr:`reduce_ready` those with a schedulable reduce.
+    Both are lists in submission order (``Job.seq``), never hash order, so
+    every pick made from them, and every snapshot that pickles them, is
+    deterministic.
     """
 
     def __init__(self) -> None:
         self.jobtracker: Optional["JobTracker"] = None
         self.active_jobs: List[Job] = []
+        self.map_ready: List[Job] = []
+        self.reduce_ready: List[Job] = []
+        self._submitted = 0
 
     def bind(self, jobtracker: "JobTracker") -> None:
         """Attach to a JobTracker (called once by its constructor)."""
@@ -42,11 +68,23 @@ class Scheduler:
     # -- job lifecycle ------------------------------------------------------
 
     def job_added(self, job: Job) -> None:
-        """A job was submitted."""
+        """A job was submitted: number it, hook it, file it."""
+        job.seq = self._submitted
+        self._submitted += 1
+        job.on_change = self.job_changed
         self.active_jobs.append(job)
+        self.job_changed(job)
+
+    def job_changed(self, job: Job) -> None:
+        """Re-file ``job`` in the ready sets after one of its transitions."""
+        _refile(self.map_ready, job, bool(job.pending_maps))
+        _refile(self.reduce_ready, job, job.reduces_schedulable)
 
     def job_finished(self, job: Job) -> None:
         """A job completed; drop it from consideration."""
+        job.on_change = None
+        _refile(self.map_ready, job, False)
+        _refile(self.reduce_ready, job, False)
         try:
             self.active_jobs.remove(job)
         except ValueError:  # pragma: no cover - defensive

@@ -46,10 +46,14 @@ class FairScheduler(Scheduler):
     # -- fair ordering ------------------------------------------------------
 
     def _map_order(self):
-        """Jobs with pending maps, fewest running tasks first (max-min)."""
-        jobs = [j for j in self.active_jobs if j.has_pending_maps]
-        jobs.sort(key=lambda j: (j.running_maps, j.submit_time, j.spec.job_id))
-        return jobs
+        """Jobs with pending maps, fewest running tasks first (max-min).
+
+        The sort is stable over the ready set's submission order, which
+        breaks the remaining ties.
+        """
+        return sorted(
+            self.map_ready, key=lambda j: (j.running_maps, j.submit_time, j.spec.job_id)
+        )
 
     def _allowed_level(self, job: Job, now: float) -> Locality:
         """Highest (worst) locality level this job may currently launch at."""
@@ -83,14 +87,18 @@ class FairScheduler(Scheduler):
         return None
 
     def pick_reduce(self, node_id: int, now: float) -> Optional[ReducePick]:
-        """Fair order over jobs with schedulable reduces."""
-        jobs = [j for j in self.active_jobs if j.reduces_schedulable]
-        jobs.sort(key=lambda j: (j.running_reduces, j.submit_time, j.spec.job_id))
-        for job in jobs:
-            task = job.next_pending_reduce()
-            if task is not None:
-                return job, task
-        return None
+        """The fairest job with a schedulable reduce (fewest running).
+
+        ``min`` keeps the first of equal keys, i.e. the earliest submitted.
+        """
+        if not self.reduce_ready:
+            return None
+        job = min(
+            self.reduce_ready,
+            key=lambda j: (j.running_reduces, j.submit_time, j.spec.job_id),
+        )
+        task = job.next_pending_reduce()
+        return None if task is None else (job, task)
 
 
 class SkipCountFairScheduler(FairScheduler):

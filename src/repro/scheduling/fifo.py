@@ -20,19 +20,20 @@ class FifoScheduler(Scheduler):
 
     def pick_map(self, node_id: int, now: float) -> Optional[MapPick]:
         """Head-of-line job's best task for this node, if any."""
-        for job in self.active_jobs:
-            if not job.has_pending_maps:
-                continue
-            found = job.find_pending_map(node_id, self.namenode, Locality.REMOTE)
-            if found is not None:
-                task, locality = found
-                return job, task, locality
-        return None
+        if not self.map_ready:
+            return None
+        job = self.map_ready[0]
+        # at REMOTE level a job with pending maps always yields a task
+        found = job.find_pending_map(node_id, self.namenode, Locality.REMOTE)
+        if found is None:
+            return None
+        task, locality = found
+        return job, task, locality
 
     def pick_reduce(self, node_id: int, now: float) -> Optional[ReducePick]:
         """Head-of-line job with schedulable reduces."""
-        for job in self.active_jobs:
-            task = job.next_pending_reduce()
-            if task is not None:
-                return job, task
-        return None
+        if not self.reduce_ready:
+            return None
+        job = self.reduce_ready[0]
+        task = job.next_pending_reduce()
+        return None if task is None else (job, task)

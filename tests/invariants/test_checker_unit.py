@@ -6,6 +6,9 @@ import pytest
 
 from repro.core.config import DareConfig
 from repro.core.manager import DareReplicationService
+from repro.mapreduce.job import JobSpec
+from repro.mapreduce.jobtracker import JobTracker
+from repro.mapreduce.runtime import TaskTimeModel
 from repro.observability.invariants import InvariantChecker, InvariantViolation
 from repro.observability.trace import (
     BLOCK_REPLICATED,
@@ -13,6 +16,8 @@ from repro.observability.trace import (
     TASK_SCHEDULED,
     Tracer,
 )
+from repro.scheduling.fifo import FifoScheduler
+from repro.simulation.engine import Engine
 
 
 def make_service(namenode, streams, tracer, policy="lru", budget_blocks=3):
@@ -165,3 +170,46 @@ class TestSeededCorruption:
         assert any(r.type == BLOCK_REPLICATED for r in violation.tail)
         assert "trace tail" in str(violation)
         assert "block.replicated" in str(violation)
+
+
+class TestReadySetAudit:
+    """check_now recomputes the scheduler's ready sets from its active jobs."""
+
+    @pytest.fixture
+    def jt(self, small_cluster, loaded_namenode, streams):
+        dare = DareReplicationService(DareConfig.off(), loaded_namenode, streams)
+        tm = TaskTimeModel(small_cluster, loaded_namenode, streams.python("tm"))
+        jt = JobTracker(
+            small_cluster, loaded_namenode, Engine(), FifoScheduler(), tm, dare
+        )
+        jt.submit(JobSpec(0, 0.0, "hot"))
+        jt.submit(JobSpec(1, 1.0, "warm"))
+        return jt
+
+    def check(self, jt):
+        InvariantChecker(jt.namenode, jobtracker=jt, full_sweep_every=1).check_now()
+
+    def test_consistent_sets_pass(self, jt):
+        self.check(jt)
+
+    def test_job_missing_from_map_ready_is_caught(self, jt):
+        jt.scheduler.map_ready.remove(jt.jobs[1])
+        with pytest.raises(InvariantViolation, match="map_ready holds jobs"):
+            self.check(jt)
+
+    def test_job_wrongly_in_reduce_ready_is_caught(self, jt):
+        jt.scheduler.reduce_ready.append(jt.jobs[0])  # its maps have not run
+        with pytest.raises(InvariantViolation, match="reduce_ready holds jobs"):
+            self.check(jt)
+
+    def test_finished_job_left_in_a_set_is_caught(self, jt):
+        job = jt.jobs[0]
+        job.finish_time = 5.0
+        jt.scheduler.job_finished(job)
+        jt.scheduler.map_ready.insert(0, job)
+        with pytest.raises(InvariantViolation, match="map_ready holds finished jobs"):
+            self.check(jt)
+        jt.scheduler.map_ready.remove(job)
+        jt.scheduler.reduce_ready.append(job)
+        with pytest.raises(InvariantViolation, match="reduce_ready holds finished"):
+            self.check(jt)

@@ -120,9 +120,10 @@ class TestFairSharing:
         j0 = jt.submit(JobSpec(0, 0.0, "cold", n_reduces=2))
         j1 = jt.submit(JobSpec(1, 0.1, "warm", n_reduces=2))
         for j in (j0, j1):
-            j.finished_maps = j.n_maps
-            j.pending_maps.clear()
-        j0.running_reduces = 1
+            for task in list(j.pending_maps):
+                j.take_map(task)
+                j.finish_map()
+        j0.start_reduce()
         job, _ = jt.scheduler.pick_reduce(1, now=1.0)
         assert job is j1
 

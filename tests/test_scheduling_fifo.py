@@ -23,6 +23,13 @@ def jt(small_cluster, loaded_namenode):
     )
 
 
+def finish_maps(job):
+    """Launch and complete every map through the Job transitions."""
+    for task in list(job.pending_maps):
+        job.take_map(task)
+        job.finish_map()
+
+
 def submit(jt, *file_names, t0=0.0):
     jobs = []
     for i, name in enumerate(file_names):
@@ -93,7 +100,7 @@ class TestFifoReduces:
     def test_reduces_offered_once_schedulable(self, jt):
         jobs = submit(jt, "hot")
         assert jt.scheduler.pick_reduce(1, now=1.0) is None
-        jobs[0].finished_maps = jobs[0].n_maps
+        finish_maps(jobs[0])
         pick = jt.scheduler.pick_reduce(1, now=2.0)
         assert pick is not None
         job, task = pick
@@ -102,7 +109,6 @@ class TestFifoReduces:
     def test_reduce_fifo_order(self, jt):
         jobs = submit(jt, "warm", "hot")
         for j in jobs:
-            j.finished_maps = j.n_maps
-            j.pending_maps.clear()
+            finish_maps(j)
         job, _ = jt.scheduler.pick_reduce(1, now=2.0)
         assert job is jobs[0]
