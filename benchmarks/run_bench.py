@@ -85,10 +85,14 @@ PRE_PARALLEL_ROLLOUT_OVERHEAD_X = 16.17
 #: worker count used by the parallel rollout bench and its CI gate
 ROLLOUT_BENCH_JOBS = 4
 
+#: the smaller worker count the rollout bench also gates (2-CPU runners)
+ROLLOUT_BENCH_JOBS_SMALL = 2
+
 #: minimum parallel-over-serial rollout speedup at ROLLOUT_BENCH_JOBS
 MIN_ROLLOUT_SPEEDUP = float(os.environ.get("BENCH_MIN_ROLLOUT_SPEEDUP", "2.0"))
 
-#: maximum rollout-over-host overhead at ROLLOUT_BENCH_JOBS
+#: maximum rollout-over-host overhead at ROLLOUT_BENCH_JOBS_SMALL and
+#: ROLLOUT_BENCH_JOBS, each gated on a machine with that many CPUs
 MAX_ROLLOUT_OVERHEAD = float(os.environ.get("BENCH_MAX_ROLLOUT_OVERHEAD", "6.0"))
 
 
@@ -337,15 +341,16 @@ def bench_policy_rollout_fork_grid() -> Dict[str, float]:
 def bench_policy_rollout_parallel() -> Dict[str, float]:
     """Parallel vs serial fork scoring on the pinned rollout bench cell.
 
-    Runs the same cell as :func:`bench_policy_rollout_fork_grid` three
-    ways — serial (``jobs=1``), parallel (``jobs=ROLLOUT_BENCH_JOBS``),
-    and the plain greedy-LRU host — and reports the parallel speedup and
-    the remaining overhead over the host.  Decisions and traces are
-    byte-identical between the serial and parallel runs (the CI
-    ``policy-bench`` job ``cmp``-gates that separately); this bench gates
-    only the wall clock.  The speedup/overhead gates are skipped when the
-    machine has fewer cores than workers — the byte-identity contract
-    holds anywhere, the wall-clock one needs the cores.
+    Runs the same cell as :func:`bench_policy_rollout_fork_grid` four
+    ways — serial (``jobs=1``), ``jobs=ROLLOUT_BENCH_JOBS_SMALL``
+    (``j2_*`` keys), ``jobs=ROLLOUT_BENCH_JOBS``, and the plain
+    greedy-LRU host — and reports the parallel speedup and the remaining
+    overhead over the host.  Decisions and traces are byte-identical
+    between the runs (the CI ``policy-bench`` job ``cmp``-gates that
+    separately); this bench gates only the wall clock.  Each gate is
+    skipped when the machine has fewer cores than its workers — the
+    byte-identity contract holds anywhere, the wall-clock one needs the
+    cores.
     """
     import dataclasses
 
@@ -355,21 +360,28 @@ def bench_policy_rollout_parallel() -> Dict[str, float]:
 
     workload = synthesize_wl1(np.random.default_rng(7), n_jobs=SMOKE_JOBS)
     serial_config = bench_config("rollout")
-    parallel_config = dataclasses.replace(
-        serial_config,
-        rollout=serial_config.rollout._replace(jobs=ROLLOUT_BENCH_JOBS),
-    )
+
+    def at_jobs(jobs: int):
+        return dataclasses.replace(
+            serial_config, rollout=serial_config.rollout._replace(jobs=jobs)
+        )
+
+    small_config = at_jobs(ROLLOUT_BENCH_JOBS_SMALL)
+    parallel_config = at_jobs(ROLLOUT_BENCH_JOBS)
     host_config = bench_config("greedy-lru")
 
     serial_s = best_of(lambda: run_experiment(serial_config, workload), rounds=3)
+    small_s = best_of(lambda: run_experiment(small_config, workload), rounds=3)
     parallel_s = best_of(lambda: run_experiment(parallel_config, workload), rounds=3)
     host_s = best_of(lambda: run_experiment(host_config, workload), rounds=3)
     return {
         "wall_s": parallel_s,
         "serial_wall_s": serial_s,
+        "j2_wall_s": small_s,
         "host_wall_s": host_s,
         "speedup": serial_s / parallel_s,
         "overhead_x": parallel_s / host_s,
+        "j2_overhead_x": small_s / host_s,
         "serial_overhead_x": serial_s / host_s,
         "jobs": float(ROLLOUT_BENCH_JOBS),
         "cpus": float(os.cpu_count() or 1),
@@ -522,17 +534,7 @@ def collect(n_jobs: int) -> Dict[str, Dict[str, float]]:
     print(f" {results['checkpoint_fork_vs_cold']['wall_s'] * 1e3:.0f}ms shared vs "
           f"{results['checkpoint_fork_vs_cold']['cold_wall_s'] * 1e3:.0f}ms cold "
           f"({results['checkpoint_fork_vs_cold']['speedup']:.2f}x)")
-    print("  policy_rollout_fork_grid ...", end="", flush=True)
-    results["policy_rollout_fork_grid"] = bench_policy_rollout_fork_grid()
-    print(f" {results['policy_rollout_fork_grid']['wall_s'] * 1e3:.0f}ms "
-          f"({results['policy_rollout_fork_grid']['overhead_x']:.1f}x over "
-          f"the plain host cell)")
-    print("  policy_rollout_parallel ...", end="", flush=True)
-    results["policy_rollout_parallel"] = bench_policy_rollout_parallel()
-    print(f" {results['policy_rollout_parallel']['wall_s'] * 1e3:.0f}ms at "
-          f"jobs={ROLLOUT_BENCH_JOBS} "
-          f"({results['policy_rollout_parallel']['speedup']:.2f}x over serial, "
-          f"{results['policy_rollout_parallel']['overhead_x']:.1f}x over host)")
+    results.update(collect_rollout())
     return results
 
 
@@ -546,10 +548,10 @@ def collect_rollout() -> Dict[str, Dict[str, float]]:
           f"the plain host cell)")
     print("  policy_rollout_parallel ...", end="", flush=True)
     results["policy_rollout_parallel"] = bench_policy_rollout_parallel()
-    print(f" {results['policy_rollout_parallel']['wall_s'] * 1e3:.0f}ms at "
-          f"jobs={ROLLOUT_BENCH_JOBS} "
-          f"({results['policy_rollout_parallel']['speedup']:.2f}x over serial, "
-          f"{results['policy_rollout_parallel']['overhead_x']:.1f}x over host)")
+    pr = results["policy_rollout_parallel"]
+    print(f" {pr['wall_s'] * 1e3:.0f}ms at jobs={ROLLOUT_BENCH_JOBS} "
+          f"({pr['speedup']:.2f}x over serial, {pr['overhead_x']:.1f}x over "
+          f"host; jobs={ROLLOUT_BENCH_JOBS_SMALL} {pr['j2_overhead_x']:.1f}x)")
     return results
 
 
@@ -703,27 +705,30 @@ def main(argv=None) -> int:
                       f"{MIN_FORK_SPEEDUP:.1f}x floor")
         if "policy_rollout_parallel" in results:
             pr = results["policy_rollout_parallel"]
-            if pr["cpus"] < pr["jobs"]:
-                print(f"  rollout parallel gate skipped: "
-                      f"{int(pr['cpus'])} CPU(s) < jobs={int(pr['jobs'])} "
-                      f"(byte-identity still holds; wall-clock gate "
-                      f"needs the cores)")
-            else:
-                if pr["speedup"] < MIN_ROLLOUT_SPEEDUP:
-                    print(f"  rollout parallel speedup {pr['speedup']:.2f}x "
-                          f"is below the {MIN_ROLLOUT_SPEEDUP:.1f}x floor")
-                    failures += 1
-                else:
-                    print(f"  rollout parallel speedup {pr['speedup']:.2f}x "
-                          f">= {MIN_ROLLOUT_SPEEDUP:.1f}x floor")
-                if pr["overhead_x"] > MAX_ROLLOUT_OVERHEAD:
-                    print(f"  rollout overhead {pr['overhead_x']:.2f}x over "
-                          f"the host exceeds the {MAX_ROLLOUT_OVERHEAD:.1f}x "
-                          f"ceiling (pre-rework: "
+            for jobs, overhead in ((ROLLOUT_BENCH_JOBS_SMALL, pr["j2_overhead_x"]),
+                                   (ROLLOUT_BENCH_JOBS, pr["overhead_x"])):
+                if pr["cpus"] < jobs:
+                    print(f"  rollout gates at jobs={jobs} skipped: "
+                          f"{int(pr['cpus'])} CPU(s) < {jobs} "
+                          f"(byte-identity still holds; wall-clock gate "
+                          f"needs the cores)")
+                    continue
+                if jobs == ROLLOUT_BENCH_JOBS:
+                    if pr["speedup"] < MIN_ROLLOUT_SPEEDUP:
+                        print(f"  rollout parallel speedup {pr['speedup']:.2f}x "
+                              f"is below the {MIN_ROLLOUT_SPEEDUP:.1f}x floor")
+                        failures += 1
+                    else:
+                        print(f"  rollout parallel speedup {pr['speedup']:.2f}x "
+                              f">= {MIN_ROLLOUT_SPEEDUP:.1f}x floor")
+                if overhead > MAX_ROLLOUT_OVERHEAD:
+                    print(f"  rollout overhead at jobs={jobs} {overhead:.2f}x "
+                          f"over the host exceeds the "
+                          f"{MAX_ROLLOUT_OVERHEAD:.1f}x ceiling (pre-rework: "
                           f"{PRE_PARALLEL_ROLLOUT_OVERHEAD_X:.1f}x)")
                     failures += 1
                 else:
-                    print(f"  rollout overhead {pr['overhead_x']:.2f}x <= "
+                    print(f"  rollout overhead at jobs={jobs} {overhead:.2f}x <= "
                           f"{MAX_ROLLOUT_OVERHEAD:.1f}x ceiling (pre-rework: "
                           f"{PRE_PARALLEL_ROLLOUT_OVERHEAD_X:.1f}x)")
         if "scale_10k" in results:

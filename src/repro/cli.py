@@ -495,7 +495,6 @@ def cmd_replay_whatif(args: argparse.Namespace) -> int:
     import dataclasses
 
     from repro.checkpoint import parse_patch
-    from repro.checkpoint.snapshot import snapshot as take_snapshot
     from repro.experiments.runner import Simulation, make_tracer
     from repro.experiments.serialize import config_from_dict
 
@@ -520,20 +519,16 @@ def cmd_replay_whatif(args: argparse.Namespace) -> int:
     workload = _rebuild_whatif_workload(header, args)
     config = dataclasses.replace(config, trace_path=args.out)
 
-    base = Simulation(config, workload, tracer=make_tracer(config))
-    base.run(until=args.at)
-    snap = take_snapshot(base)
-    base.close()
-    print(f"reconstructed to t={snap.time:.1f}s "
-          f"({snap.events_processed} events replayed)")
-
-    fork = snap.restore(trace_path=args.out)
+    sim = Simulation(config, workload, tracer=make_tracer(config))
+    sim.run(until=args.at)
+    print(f"reconstructed to t={sim.now:.1f}s "
+          f"({sim.engine.events_processed} events replayed)")
     for patch in patches:
-        patch.apply(fork)
+        patch.apply(sim)
         print(f"  applied: {patch.describe()}")
-    fork.run()
-    result = fork.finalize()
-    fork.close()
+    sim.run()
+    result = sim.finalize()
+    sim.close()
     print(result.summary_row())
     if args.out:
         from repro.replay import diff_traces
@@ -957,8 +952,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="fork lookahead; 0 runs forks to completion")
     p.add_argument("--rollout-max-epochs", type=int, default=64, metavar="N")
     p.add_argument("--rollout-jobs", type=int, default=1, metavar="N",
-                   help="fork-scoring worker processes (decisions and "
-                        "trace are byte-identical at any value)")
+                   help="candidate branches forked at once, next to the "
+                        "no-op branch (decisions and trace are "
+                        "byte-identical at any value)")
     p.add_argument("--rollout-prune", type=int, default=0, metavar="K",
                    help="fork only the top-K candidates by learned "
                         "pre-score; 0 forks every candidate")

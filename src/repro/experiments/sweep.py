@@ -79,8 +79,9 @@ _KEY_EXCLUDED_FIELDS = ("trace_path", "profile", "profile_sample_every")
 #: per-process counter making cache temp-file names unique across threads
 _tmp_seq = itertools.count()
 
-#: serializes child-process starts across executor threads
-_start_lock = threading.Lock()
+#: serializes child-process starts across threads (sweep cells here,
+#: rollout branches in repro.policies.parallel)
+start_lock = threading.Lock()
 
 
 class WorkloadSpec(NamedTuple):
@@ -419,7 +420,7 @@ def run_isolated(
     ctx = mp.get_context()
     # a child forked by another thread while the write end is open here
     # would inherit it, hiding this child's death until that one exits
-    with _start_lock:
+    with start_lock:
         recv_conn, send_conn = ctx.Pipe(duplex=False)
         proc = ctx.Process(target=_worker_main, args=(send_conn, cell), daemon=True)
         started = time.perf_counter()

@@ -10,9 +10,10 @@ adds two policies the paper does not have:
   logistic scorer over per-block access/locality/budget features, fit by
   ``repro train`` against the JSONL trace corpus the sweeps produce;
 * rollout-greedy (:mod:`repro.policies.rollout`) — a one-step lookahead
-  driver that forks the live simulation via :mod:`repro.checkpoint` at
-  each decision epoch, scores candidate replications by downstream
-  data-locality and makespan, and applies only strict improvements.
+  driver that forks the paused live simulation (:func:`os.fork`, one
+  child per branch, :mod:`repro.policies.parallel`) at each decision
+  epoch, scores candidate replications by downstream data-locality and
+  makespan, and applies only strict improvements.
 
 See ``docs/POLICIES.md`` for the plugin API and the training loop.
 """

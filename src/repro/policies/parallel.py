@@ -1,56 +1,63 @@
-"""Parallel fork scoring for the checkpoint-fork rollout engine.
+"""Fork-per-branch scoring for the rollout engine.
 
-The rollout driver's epoch loop is embarrassingly parallel: the no-op
-branch and every candidate branch restore from the *same*
-:class:`~repro.checkpoint.incremental.DeltaSnapshot` and run to their
-horizon independently.  :class:`ForkScorer` exploits that with a
-persistent pool of worker processes (forked once, reused across epochs
-to amortize spawn): each epoch the snapshot bytes are shipped to every
-busy worker once, candidates are dealt round-robin, and the host scores
-the no-op branch in-process while the workers run — so with ``jobs=N``
-and ``N`` candidates the scoring phase costs roughly one fork instead of
-``N + 1``.
+At every decision epoch :class:`ForkScorer` scores the no-op branch plus
+one branch per candidate action of the paused live
+:class:`~repro.experiments.runner.Simulation`.  Each branch is an
+:func:`os.fork` child of the host: it applies its action to its
+copy-on-write image of the live run, runs to the horizon, writes its
+score tuple to a pipe and leaves through :func:`os._exit`.  Nothing is
+pickled but the reply, and the host runs no branch itself.
 
-Determinism contract: a fork's score is a pure function of (snapshot
-bytes, action, rollout config) — every branch restores from identical
-bytes and the simulator is deterministic — so scores are independent of
-*where* they are computed.  :meth:`ForkScorer.score_epoch` returns them
-in candidate order and the driver's reduction (strict ``>`` over that
-order) is unchanged from serial, which makes decisions, traces, and
-results byte-identical across ``jobs`` values.  The CI ``policy-bench``
-job ``cmp``-gates exactly that.
+The host flushes its file sinks before each fork, and a child drops
+every trace sink and subscriber except the invariant checker's, so no
+branch record reaches the host's trace file, a job's record stream or
+its stdout.  Pipes are created and forked, and the host's write end
+closed, under :data:`repro.experiments.sweep.start_lock`, so no other
+child inherits a branch's write end; replies are length-framed, so the
+host never waits for more than the reply.  On a failure the remaining
+children are killed and reaped before the error is raised.
 
-One backend: worker processes (forked where :func:`os.fork` exists,
-else spawned).  ``jobs=1``, an epoch without candidates, and a platform
-that cannot start processes all score serially in-process.
+A branch's score is a pure function of (paused host, action, rollout
+config), and scores come back in candidate order, so decisions, traces
+and results are byte-identical at every ``jobs``; the CI
+``policy-bench`` job ``cmp``-gates that.  Where :func:`os.fork` does not
+exist, every branch is restored from one full
+:func:`repro.checkpoint.snapshot` and scored in-process — the reference
+the tests hold the fork path to.
 """
 
 from __future__ import annotations
 
-import multiprocessing as mp
-from typing import List, Optional, Tuple
+import os
+import pickle
+import signal
+import struct
+import traceback
+from collections import deque
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
-from repro.checkpoint.incremental import DeltaSnapshot, StaticPool
 from repro.metrics.locality import mean_job_locality
 from repro.policies.rollout import Action, RolloutConfig, _unclamp, apply_action
 
+if TYPE_CHECKING:
+    from repro.experiments.runner import Simulation
 
-def score_fork(
-    snap: DeltaSnapshot,
-    action: Optional[Action],
-    rcfg: RolloutConfig,
-    pool: Optional[StaticPool] = None,
-) -> Tuple:
-    """Run one branch ahead and reduce it to a comparable score tuple.
+#: reply header: the byte length of the pickled reply that follows
+_FRAME = struct.Struct("!I")
 
-    Higher is better; ties prefer the no-op (the driver only replaces
-    its baseline on a strict improvement).  Value-identical to scoring
-    via ``Simulation.finalize()`` — ``job_locality`` is
+
+def score_fork(fork: "Simulation", action: Optional[Action], rcfg: RolloutConfig) -> Tuple:
+    """Apply ``action`` to a branch copy, run it ahead, reduce it to a score.
+
+    ``fork`` is a forked child's image of the host or a copy restored
+    from a snapshot, never the live run.  Higher is better; ties prefer
+    the no-op (the driver only replaces its baseline on a strict
+    improvement).  Value-identical to scoring via
+    ``Simulation.finalize()`` — ``job_locality`` is
     ``mean_job_locality(collector.job_records)`` and ``makespan_s`` is
     ``engine.now`` — but skips the heartbeat settling and the metrics
     the score never reads.
     """
-    fork = snap.restore(pool=pool)
     if action is not None:
         apply_action(fork, action)
     if rcfg.horizon_s > 0:
@@ -64,137 +71,123 @@ def score_fork(
     return (mean_job_locality(fork.collector.job_records), 0, -fork.engine.now)
 
 
-def _worker_main(conn) -> None:
-    """Worker loop: score (index, action) chunks until told to stop.
+def _branch_main(sim: "Simulation", action: Optional[Action], rcfg: RolloutConfig,
+                 wfd: int) -> None:
+    """A forked child: cut the branch off the host's observers, score it,
+    send one framed reply."""
+    try:
+        sim.profiler = sim.engine.profiler = None  # as a restore drops it
+        tracer = sim.tracer
+        if tracer.enabled:  # these lists are the child's own copies
+            tracer._sinks, tracer._subscribers = [], []
+            if sim.checker is not None:
+                sim.checker.attach(tracer)
+        reply = ("ok", score_fork(sim, action, rcfg))
+    except Exception:
+        reply = ("err", traceback.format_exc())
+    data = pickle.dumps(reply)
+    with os.fdopen(wfd, "wb") as pipe:
+        pipe.write(_FRAME.pack(len(data)) + data)
 
-    Each message is ``(snapshot, rollout_config, [(index, action), ...])``
-    and is answered with ``("ok", [(index, score), ...])`` or
-    ``("err", message)``.  The per-process :class:`StaticPool` means the
-    static payload is unpickled once per *session*, not once per fork.
-    """
-    pool = StaticPool()
-    while True:
-        try:
-            msg = conn.recv()
-        except (EOFError, OSError):
-            break
-        if msg is None:
-            break
-        snap, rcfg, tasks = msg
-        try:
-            out = [(idx, score_fork(snap, action, rcfg, pool=pool)) for idx, action in tasks]
-            conn.send(("ok", out))
-        except Exception as exc:  # ship the failure instead of hanging the host
-            import traceback
 
-            conn.send(("err", f"{exc}\n{traceback.format_exc()}"))
-    conn.close()
+def _fork_branch(sim: "Simulation", action: Optional[Action],
+                 rcfg: RolloutConfig) -> Tuple[int, int]:
+    """Fork one branch child of the paused host; return ``(pid, read fd)``."""
+    from repro.experiments.sweep import start_lock
+
+    for sink in sim.tracer._sinks:
+        flush = getattr(sink, "flush", None)
+        if flush is not None:
+            flush()  # a child must not inherit buffered host records
+    with start_lock:
+        rfd, wfd = os.pipe()
+        try:
+            pid = os.fork()
+        except BaseException:
+            os.close(rfd)
+            os.close(wfd)
+            raise
+        if pid == 0:  # the child leaves only through os._exit
+            try:
+                os.close(rfd)
+                _branch_main(sim, action, rcfg, wfd)
+                os._exit(0)
+            finally:
+                os._exit(1)
+        os.close(wfd)
+    return pid, rfd
+
+
+def _reply(pid: int, rfd: int) -> Tuple:
+    """Read one child's framed reply, reap the child, return its score."""
+    try:
+        with os.fdopen(rfd, "rb") as pipe:
+            head = pipe.read(_FRAME.size)
+            size = _FRAME.unpack(head)[0] if len(head) == _FRAME.size else -1
+            body = pipe.read(size) if size >= 0 else b""
+    finally:
+        status = os.waitpid(pid, 0)[1]
+    if len(body) != size:
+        code = os.waitstatus_to_exitcode(status)
+        how = f"killed by signal {-code}" if code < 0 else f"exit code {code}"
+        raise RuntimeError(f"rollout branch pid={pid} died without replying ({how})")
+    kind, payload = pickle.loads(body)
+    if kind != "ok":
+        raise RuntimeError(f"rollout branch pid={pid} failed:\n{payload}")
+    return payload
+
+
+def _score_forked(sim: "Simulation", branches: Sequence[Optional[Action]],
+                  rcfg: RolloutConfig, jobs: int) -> List[Tuple]:
+    """Score each branch in its own child, at most ``jobs + 1`` at once."""
+    running: deque = deque()  # (pid, read fd), in branch order
+    scores: List[Tuple] = []
+    try:
+        for action in branches:
+            if len(running) > jobs:
+                scores.append(_reply(*running.popleft()))
+            running.append(_fork_branch(sim, action, rcfg))
+        while running:
+            scores.append(_reply(*running.popleft()))
+    finally:
+        for pid, rfd in running:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            os.close(rfd)
+    return scores
+
+
+def _score_restored(sim: "Simulation", branches: Sequence[Optional[Action]],
+                    rcfg: RolloutConfig) -> List[Tuple]:
+    """Score each branch in-process on a copy restored from one snapshot."""
+    from repro.checkpoint.snapshot import snapshot
+
+    snap = snapshot(sim)
+    return [score_fork(snap.restore(), action, rcfg) for action in branches]
 
 
 class ForkScorer:
-    """Persistent branch-scoring pool, reused across decision epochs.
+    """Scores one decision epoch's branches, forking the no-op branch
+    plus up to ``jobs`` candidate branches at once."""
 
-    ``jobs`` is the worker-process count; ``jobs <= 1`` (or no way to
-    start processes) scores everything in-process.  Pass the host
-    :class:`SnapshotSession`'s pool so in-process restores share the
-    live run's static objects.
-
-    Use as a context manager (or call :meth:`close`) so worker processes
-    don't outlive the experiment; they are daemonic as a backstop.
-    """
-
-    def __init__(self, jobs: int = 1, pool: Optional[StaticPool] = None) -> None:
+    def __init__(self, jobs: int = 1) -> None:
         self.jobs = max(1, int(jobs))
-        self._pool = pool if pool is not None else StaticPool()
-        self._workers: List[Tuple[object, object]] = []  # (process, conn)
-
-    # -- backends -------------------------------------------------------------
-
-    def _start_workers(self) -> bool:
-        """Spawn the worker processes once; False when unavailable."""
-        if self._workers:
-            return True
-        ctx = mp.get_context("fork" if "fork" in mp.get_all_start_methods() else "spawn")
-        try:
-            for _ in range(self.jobs):
-                host_conn, worker_conn = ctx.Pipe(duplex=True)
-                proc = ctx.Process(
-                    target=_worker_main, args=(worker_conn,), daemon=True
-                )
-                proc.start()
-                worker_conn.close()  # the child holds its own copy
-                self._workers.append((proc, host_conn))
-        except OSError:
-            self.close()
-            return False
-        return True
-
-    # -- the epoch entry point -------------------------------------------------
 
     def score_epoch(
         self,
-        snap: DeltaSnapshot,
+        sim: "Simulation",
         candidates: List[Action],
         rcfg: RolloutConfig,
     ) -> Tuple[Tuple, List[Tuple]]:
-        """Score the no-op branch plus every candidate branch.
+        """Score the no-op branch plus every candidate branch of ``sim``.
 
-        Returns ``(base_score, candidate_scores)`` with
-        ``candidate_scores`` in candidate order, so the driver's serial
-        reduction applies unchanged regardless of backend or ``jobs``.
+        ``sim`` must be paused between ``run()`` calls and is left
+        untouched.  Returns ``(base_score, candidate_scores)`` with
+        ``candidate_scores`` in candidate order.
         """
-        if self.jobs > 1 and candidates and self._start_workers():
-            return self._score_process(snap, candidates, rcfg)
-        return self._score_serial(snap, candidates, rcfg)
-
-    def _score_serial(self, snap, candidates, rcfg):
-        base = score_fork(snap, None, rcfg, pool=self._pool)
-        scores = [score_fork(snap, a, rcfg, pool=self._pool) for a in candidates]
-        return base, scores
-
-    def _score_process(self, snap, candidates, rcfg):
-        n = min(self.jobs, len(candidates))
-        chunks: List[List[Tuple[int, Action]]] = [[] for _ in range(n)]
-        for idx, action in enumerate(candidates):
-            chunks[idx % n].append((idx, action))
-        busy = self._workers[:n]
-        for (_, conn), chunk in zip(busy, chunks):
-            conn.send((snap, rcfg, chunk))
-        # overlap the implicit no-op branch with the workers
-        base = score_fork(snap, None, rcfg, pool=self._pool)
-        scores: List[Optional[Tuple]] = [None] * len(candidates)
-        for proc, conn in busy:
-            try:
-                status, payload = conn.recv()
-            except (EOFError, OSError):
-                raise RuntimeError(
-                    f"fork-scorer worker pid={proc.pid} died mid-epoch"
-                ) from None
-            if status != "ok":
-                raise RuntimeError(f"fork-scorer worker failed:\n{payload}")
-            for idx, s in payload:
-                scores[idx] = tuple(s)
-        return base, scores
-
-    # -- teardown --------------------------------------------------------------
-
-    def close(self) -> None:
-        """Stop the worker processes (idempotent)."""
-        for proc, conn in self._workers:
-            try:
-                conn.send(None)
-            except (BrokenPipeError, OSError):
-                pass
-            conn.close()
-        for proc, _ in self._workers:
-            proc.join(timeout=5.0)
-            if proc.is_alive():  # pragma: no cover - defensive
-                proc.terminate()
-                proc.join(timeout=1.0)
-        self._workers.clear()
-
-    def __enter__(self) -> "ForkScorer":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
+        branches: List[Optional[Action]] = [None, *candidates]
+        if hasattr(os, "fork"):
+            scores = _score_forked(sim, branches, rcfg, self.jobs)
+        else:
+            scores = _score_restored(sim, branches, rcfg)
+        return scores[0], scores[1:]

@@ -1,9 +1,9 @@
-"""The checkpoint-fork rollout engine (rollout-greedy policy).
+"""The fork-and-score rollout engine (rollout-greedy policy).
 
 At every decision epoch the driver pauses the live
-:class:`~repro.experiments.runner.Simulation`, snapshots it via
-:func:`repro.checkpoint.snapshot`, and forks one branch per candidate
-action (plus the no-op branch).  Candidates are the hottest
+:class:`~repro.experiments.runner.Simulation` and forks it
+(:func:`os.fork`, see :mod:`repro.policies.parallel`) into one branch
+per candidate action plus the no-op branch.  Candidates are the hottest
 remotely-read blocks since the last epoch, paired with their hottest
 remote reader — observed through a trace-bus subscriber
 (:class:`FeatureTap`), so the engine needs an enabled tracer but zero
@@ -52,11 +52,12 @@ class RolloutConfig(NamedTuple):
     makespan and then toward the no-op; a positive horizon scores a
     cheaper truncated lookahead by map-level locality instead.
 
-    ``jobs`` is purely an execution knob — decisions, traces, and
-    results are byte-identical at every value (the parallel scorer
-    reduces in the same candidate order), so it is *not* serialized
-    with the cell.  ``prune`` *does* change decisions (fewer branches
-    are forked) and therefore is.
+    ``jobs`` is purely an execution knob — how many candidate branches
+    run at once next to the no-op branch.  Decisions, traces, and
+    results are byte-identical at every value (the scores are reduced
+    in candidate order), so it is *not* serialized with the cell.
+    ``prune`` *does* change decisions (fewer branches are forked) and
+    therefore is.
     """
 
     #: simulation seconds between decision epochs
@@ -67,7 +68,7 @@ class RolloutConfig(NamedTuple):
     horizon_s: float = 0.0
     #: stop forking after this many epochs (the run itself continues)
     max_epochs: int = 16
-    #: fork-scoring workers; 1 = serial in-process (byte-identical either way)
+    #: candidate branches forked at once (byte-identical at any value)
     jobs: int = 1
     #: fork only the top-k candidates by learned pre-score; 0 = fork all
     prune: int = 0
@@ -238,14 +239,12 @@ def run_rollout_experiment(
     byte-identical to the plain host run); the rollout layer adds only
     forced replications and ``rollout.decision`` records on top.
 
-    Epoch snapshots are incremental
-    (:class:`~repro.checkpoint.incremental.SnapshotSession`) and branch
-    scoring goes through a
-    :class:`~repro.policies.parallel.ForkScorer` sized by
-    ``rollout.jobs`` — both byte-transparent: every decision, trace
-    record, and result field is identical to the serial PR-9 engine.
+    Branch scoring goes through a
+    :class:`~repro.policies.parallel.ForkScorer`, which forks the paused
+    host once per branch, ``rollout.jobs`` candidate branches at a time;
+    every decision, trace record and result field is the same at any
+    ``jobs``.
     """
-    from repro.checkpoint.incremental import SnapshotSession
     from repro.experiments.runner import Simulation
     from repro.policies.parallel import ForkScorer
 
@@ -259,7 +258,6 @@ def run_rollout_experiment(
             tracer.add_sink(JsonlSink(host.trace_path))
     elif not tracer.enabled:
         raise ValueError("the rollout engine requires an enabled tracer")
-    scorer: Optional[ForkScorer] = None
     try:
         sim = Simulation(host, workload, collector, tracer)
         stats = None
@@ -271,8 +269,7 @@ def run_rollout_experiment(
             weights = host.dare.model or DEFAULT_WEIGHTS
         tap = FeatureTap(stats)
         tracer.subscribe(tap)
-        session = SnapshotSession(sim, check=host.check_invariants)
-        scorer = ForkScorer(rcfg.jobs, pool=session.pool)
+        scorer = ForkScorer(rcfg.jobs)
         for epoch in range(1, rcfg.max_epochs + 1):
             sim.run(until=epoch * rcfg.epoch_s)
             if sim.finished:
@@ -286,8 +283,7 @@ def run_rollout_experiment(
                 candidates = _prune_candidates(
                     sim, stats, candidates, rcfg.prune, weights
                 )
-            snap = session.snapshot()
-            base, scores = scorer.score_epoch(snap, candidates, rcfg)
+            base, scores = scorer.score_epoch(sim, candidates, rcfg)
             best_action: Optional[Action] = None
             best = base
             for action, s in zip(candidates, scores):
@@ -322,6 +318,4 @@ def run_rollout_experiment(
         # — even though the trace header carries the stripped host config
         return dataclasses.replace(sim.finalize(), config=config)
     finally:
-        if scorer is not None:
-            scorer.close()
         tracer.close()

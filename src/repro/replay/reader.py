@@ -92,8 +92,9 @@ REQUIRED_FIELDS: Dict[str, FrozenSet[str]] = {
 #: additional fields a record type may carry
 OPTIONAL_FIELDS: Dict[str, FrozenSet[str]] = {
     TASK_SCHEDULED: frozenset({"locality", "data_local", "block", "speculative"}),
-    # block/node are null on a no-op decision, so they skip the int check
-    ROLLOUT_DECISION: frozenset({"block", "node"}),
+    # block/node are null on a no-op decision, so they skip the int check;
+    # only cells with learned candidate pruning carry "pruned"
+    ROLLOUT_DECISION: frozenset({"block", "node", "pruned"}),
     TASK_FINISHED: frozenset({"locality", "speculative"}),
     SCARLETT_EPOCH: frozenset(
         {"replicas_created", "replicas_removed", "queued", "slack_bytes"}

@@ -117,6 +117,29 @@ def test_failure_cell_trace_matches_pinned_digest(scheduler, tmp_path):
     assert _sha256(trace) == PINNED_FAILURE_TRACE_SHA256[scheduler]
 
 
+#: sha256 of ``repro run --policy rollout --jobs 32 --seed 7 --trace``,
+#: recorded from the engine that restored every branch from a pickled
+#: snapshot: the forked branches must decide exactly as those did, at any
+#: --rollout-jobs, and the pruned cell too
+PINNED_ROLLOUT_TRACE_SHA256 = {
+    ("--rollout-jobs", "1"): "2a4f9b53fdea07de4893fd5e522dfd5e72a09e02215f545e13d36dcdeadbd3a8",
+    ("--rollout-jobs", "2"): "2a4f9b53fdea07de4893fd5e522dfd5e72a09e02215f545e13d36dcdeadbd3a8",
+    ("--rollout-prune", "2"): "216ca0e44e901fac650e999eb338c79b9d1a3ea8cc3174d38a366089a9037ddc",
+}
+
+
+@pytest.mark.parametrize("flag,value", list(PINNED_ROLLOUT_TRACE_SHA256))
+def test_rollout_trace_matches_pinned_digest(flag, value, tmp_path):
+    from repro.cli import main
+    from repro.replay.reader import read_trace
+
+    trace = tmp_path / "t.jsonl"
+    assert main(["run", "--policy", "rollout", "--jobs", "32", "--seed", "7",
+                 flag, value, "--trace", str(trace)]) == 0
+    assert _sha256(trace) == PINNED_ROLLOUT_TRACE_SHA256[flag, value]
+    assert sum(r.type == "rollout.decision" for r in read_trace(str(trace))) > 0
+
+
 def test_engine_event_firehose_is_reproducible(tmp_path):
     """The per-callback firehose pins label and seq of every event."""
     a = tmp_path / "a.jsonl"

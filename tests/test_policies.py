@@ -14,7 +14,7 @@ Pins the contracts the plugin layer promises:
 
 import dataclasses
 import json
-import threading
+import time
 
 import numpy as np
 import pytest
@@ -405,78 +405,168 @@ class TestRollout:
         assert (tmp_path / "serial.jsonl").read_bytes() == \
             (tmp_path / f"j{jobs}.jsonl").read_bytes()
 
-    def test_two_workers_match_serial(self, tmp_path):
-        """Scores from the worker processes equal in-process scores."""
-        from repro.checkpoint import SnapshotSession
+    def _paused_epoch(self):
+        """The pinned cell paused at t=80 with its epoch's candidates."""
         from repro.observability.trace import Tracer
-        from repro.policies.parallel import ForkScorer
         from repro.policies.rollout import FeatureTap
 
         config = ExperimentConfig(dare=DareConfig.greedy_lru(), seed=7)
-        sim = Simulation(config, _workload(n_jobs=32, seed=7),
-                         tracer=Tracer())
+        sim = Simulation(config, _workload(n_jobs=32, seed=7), tracer=Tracer())
         tap = FeatureTap()
         sim.tracer.subscribe(tap)
         sim.run(until=80.0)
         candidates = tap.candidates(sim, 4)
         assert candidates, "pinned cell must produce candidates by t=80"
-        snap = SnapshotSession(sim).snapshot()
-        rcfg = RolloutConfig(epoch_s=10.0, branches=4)
-        with ForkScorer(1) as serial, ForkScorer(2) as parallel:
-            base_a, scores_a = serial.score_epoch(snap, candidates, rcfg)
-            base_b, scores_b = parallel.score_epoch(snap, candidates, rcfg)
-        assert base_a == base_b
-        assert scores_a == scores_b
+        return sim, candidates, RolloutConfig(epoch_s=10.0, branches=4, horizon_s=30.0)
 
-        # truncated-horizon scoring is deterministic and comparable too
-        from repro.policies.parallel import score_fork
+    def test_fork_scores_match_the_snapshot_fallback(self, monkeypatch):
+        """Forked branches score exactly like branches restored from a
+        full snapshot in-process (the no-fork fallback), at any jobs, and
+        leave the paused host where it was."""
+        import os
 
-        hcfg = RolloutConfig(epoch_s=10.0, branches=4, horizon_s=30.0)
-        h1 = score_fork(snap, candidates[0], hcfg)
-        h2 = score_fork(snap, candidates[0], hcfg)
-        assert h1 == h2
-        assert 0.0 <= h1[0] <= 1.0 and h1[2] <= -sim.engine.now
-        sim.close()
+        from repro.policies.parallel import ForkScorer
 
-    def test_worker_loop_scores_chunks_and_ships_failures(self):
-        """`_worker_main` run in-process over a real pipe: one good chunk
-        answered ("ok", scores), a poisoned one answered ("err", ...) so
-        the host raises instead of hanging, then a clean shutdown."""
-        import multiprocessing as mp
+        sim, candidates, rcfg = self._paused_epoch()
+        events = sim.engine.events_processed
+        forked = [ForkScorer(jobs).score_epoch(sim, candidates, rcfg) for jobs in (1, 2)]
+        assert (sim.now, sim.engine.events_processed) == (80.0, events)
+        monkeypatch.delattr(os, "fork")
+        base, scores = ForkScorer(2).score_epoch(sim, candidates, rcfg)
+        assert forked == [(base, scores)] * 2
+        assert len(scores) == len(candidates)
+        assert 0.0 <= base[0] <= 1.0 and base[2] <= -sim.now
+        sim.run()
+        assert sim.finalize().n_jobs == 32
 
-        from repro.checkpoint import SnapshotSession
-        from repro.policies.parallel import _worker_main, score_fork
+    def test_branch_body_drops_observers_and_replies(self):
+        """The child's body, run here on a restored copy: it detaches
+        every sink and subscriber before running, and frames its score."""
+        import os
+        import pickle
 
-        config = ExperimentConfig(dare=DareConfig.greedy_lru(), seed=7)
-        sim = Simulation(config, _workload(n_jobs=32, seed=7))
-        sim.run(until=80.0)
-        session = SnapshotSession(sim)
-        snap = session.snapshot()
-        rcfg = RolloutConfig(epoch_s=10.0, branches=4)
-        host_conn, worker_conn = mp.Pipe(duplex=True)
-        # a snapshot message overflows the pipe's OS buffer, so the loop
-        # must be draining while we send — run it on a thread
-        worker = threading.Thread(target=_worker_main, args=(worker_conn,))
-        worker.start()
-        host_conn.send((snap, rcfg, [(0, None), (1, None)]))
-        host_conn.send((snap, None, [(0, None)]))  # rcfg=None blows up scoring
-        host_conn.send(None)
-        worker.join(timeout=60.0)
-        assert not worker.is_alive()
-        status, payload = host_conn.recv()
-        assert status == "ok"
-        want = score_fork(snap, None, rcfg, pool=session.pool)
-        assert payload == [(0, want), (1, want)]
-        status, message = host_conn.recv()
-        assert status == "err" and "horizon_s" in message
-        host_conn.close()
-        sim.close()
+        from repro.observability.trace import RingBufferSink, Tracer
+        from repro.policies.parallel import _FRAME, _branch_main, score_fork
+
+        sim, candidates, rcfg = self._paused_epoch()
+        snap = snapshot(sim)
+        want = score_fork(snap.restore(), candidates[0], rcfg)
+        tracer, ring, seen = Tracer(), RingBufferSink(), []
+        tracer.add_sink(ring)
+        tracer.subscribe(seen.append)
+        copy = snap.restore(tracer=tracer)
+        rfd, wfd = os.pipe()
+        _branch_main(copy, candidates[0], rcfg, wfd)
+        with os.fdopen(rfd, "rb") as pipe:
+            data = pipe.read()
+        assert _FRAME.unpack(data[:_FRAME.size])[0] == len(data) - _FRAME.size
+        assert pickle.loads(data[_FRAME.size:]) == ("ok", want)
+        assert len(ring) == 0 and seen == []
+
+    @pytest.mark.parametrize("how", ("raise", "exit", "sigkill"))
+    def test_failed_branch_raises_and_leaves_no_child(self, how, monkeypatch):
+        """A branch that raises ships its traceback; one that dies without
+        replying is named by pid.  Either way the other branches are
+        killed and reaped, and the host still runs to completion."""
+        import os
+        import signal
+
+        import repro.policies.parallel as parallel
+
+        sim, candidates, rcfg = self._paused_epoch()
+        real_apply, real_fork = parallel.apply_action, os.fork
+        pids = []
+
+        def fork():
+            pid = real_fork()
+            if pid:
+                pids.append(pid)
+            return pid
+
+        def poisoned(fork_sim, action):
+            if action == candidates[0]:  # later branches are still running
+                if how == "raise":
+                    raise ValueError("poisoned branch")
+                if how == "exit":
+                    os._exit(3)
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real_apply(fork_sim, action)
+
+        def hung(*_):
+            raise TimeoutError("score_epoch hung on a failed branch")
+
+        monkeypatch.setattr(os, "fork", fork)
+        monkeypatch.setattr(parallel, "apply_action", poisoned)
+        previous = signal.signal(signal.SIGALRM, hung)
+        match = {
+            "raise": r"(?s)failed:.*Traceback.*ValueError: poisoned branch",
+            "exit": r"pid=\d+ died without replying \(exit code 3\)",
+            "sigkill": r"pid=\d+ died without replying \(killed by signal 9\)",
+        }[how]
+        signal.alarm(60)
+        try:
+            with pytest.raises(RuntimeError, match=match):
+                parallel.ForkScorer(2).score_epoch(sim, candidates, rcfg)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert len(pids) > 2
+        for pid in pids:
+            with pytest.raises(ChildProcessError):
+                os.waitpid(pid, os.WNOHANG)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        monkeypatch.undo()
+        sim.run()
+        assert sim.finalize().n_jobs == 32
+
+    def test_streamed_rollout_job_sees_no_branch_records(self, tmp_path, monkeypatch):
+        """A streaming rollout cell forks its branches from a threaded
+        JobManager; its stream equals the cell's trace file record for
+        record, so no branch output leaks into it."""
+        from repro.experiments.jobs import JOB_DONE, JobManager
+        from repro.experiments.service import cell_to_doc
+        from repro.experiments.sweep import SweepCell, WorkloadSpec
+        from repro.observability.trace import TraceRecord
+        import repro.policies.parallel as parallel
+
+        real_init, sizes = parallel.ForkScorer.__init__, []
+
+        def at_two_jobs(self, jobs=1):  # a cell document never carries jobs
+            real_init(self, 2)
+            sizes.append(self.jobs)
+
+        monkeypatch.setattr(parallel.ForkScorer, "__init__", at_two_jobs)
+        cell = SweepCell(self._cell(), WorkloadSpec("wl1", 8, SEED), tag="roll")
+        manager = JobManager(workers=2, isolation="thread", stream_capacity=1 << 16)
+        manager.start()
+        try:
+            job, _ = manager.submit({"cells": [cell_to_doc(cell)], "stream": True})
+            deadline = time.monotonic() + 120.0
+            while job.active and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert job.state == JOB_DONE, job.error
+            events, dropped, _ = job.stream.read_since(0)
+        finally:
+            manager.stop()
+        assert dropped == 0 and sizes == [2]
+        streamed = [
+            TraceRecord(e.data["type"], e.data["t"], e.data["data"]).to_json()
+            for e in events if e.kind == "trace"
+        ]
+        path = tmp_path / "roll.jsonl"
+        run_experiment(dataclasses.replace(cell.config, trace_path=str(path)),
+                       cell.workload.materialize())
+        assert streamed == path.read_text(encoding="utf-8").splitlines()
+        assert sum('"rollout.decision"' in line for line in streamed) > 0
 
     def test_pruning_keeps_strict_improvement_and_is_deterministic(
         self, tmp_path
     ):
         """Top-k pruning trades branches for wall time: fewer forks, the
         no-op baseline never pruned, decisions identical across jobs."""
+        from repro.replay.reader import read_trace
+
         wl = lambda: _workload(n_jobs=32, seed=SEED)  # noqa: E731
         greedy = run_experiment(
             ExperimentConfig(dare=DareConfig.greedy_lru(), seed=SEED), wl()
@@ -495,6 +585,7 @@ class TestRollout:
             if '"rollout.decision"' in line
         ]
         assert decisions and all("pruned" in d for d in decisions)
+        assert len(list(read_trace(pruned_cell.trace_path, validate=True))) > 0
         assert all(0 <= d["candidates"] <= 2 for d in decisions)
         # ... and pruning composes with parallel scoring byte-identically
         parallel_cell = self._cell(
